@@ -20,7 +20,6 @@ from .graphs import (
     build_partition_graph,
     classify_clique,
     cliques_through,
-    induced_neighborhood,
     line_graph,
     verify_line_graph_theorem,
 )
@@ -130,7 +129,7 @@ def cmd_neighborhood(args: argparse.Namespace) -> int:
     p = args.partition
     n = p.weight
     check = verify_line_graph_theorem(n, p)
-    observed = induced_neighborhood(n, p)
+    observed = check.neighborhood
     predicted = line_graph(admissibility_graph(local_type(p)))
     pairing = [(move, target) for move, target in sorted(neighbors(p).items())]
     if args.format == "json":

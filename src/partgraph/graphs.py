@@ -11,6 +11,7 @@ the clique classification exhaustive.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Any, Iterable, Iterator
 
@@ -45,14 +46,23 @@ class SimpleGraph:
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
 
+    @cached_property
+    def _adjacency(self) -> tuple[frozenset[int], ...]:
+        """Neighbor set of each vertex, built once from the edges."""
+        adj: list[set[int]] = [set() for _ in self.labels]
+        for a, b in self.edges:
+            adj[a].add(b)
+            adj[b].add(a)
+        return tuple(frozenset(nbrs) for nbrs in adj)
+
     def degree(self, v: int) -> int:
-        return sum(1 for a, b in self.edges if v in (a, b))
+        return len(self._adjacency[v])
 
     def has_edge(self, a: int, b: int) -> bool:
         return (min(a, b), max(a, b)) in self.edges
 
     def neighbors_of(self, v: int) -> set[int]:
-        return {b if a == v else a for a, b in self.edges if v in (a, b)}
+        return set(self._adjacency[v])
 
     def to_json(self) -> dict:
         return {
@@ -131,10 +141,20 @@ class PairCheck:
 @dataclass(frozen=True)
 class NeighborhoodCheck:
     partition: Partition
-    moves: tuple[TransferMove, ...]
-    pairs_checked: int
-    adjacent_pairs: int
+    neighborhood: SimpleGraph
     violations: tuple[PairCheck, ...]
+
+    @property
+    def moves(self) -> tuple[TransferMove, ...]:
+        return self.neighborhood.labels
+
+    @property
+    def pairs_checked(self) -> int:
+        return len(self.moves) * (len(self.moves) - 1) // 2
+
+    @property
+    def adjacent_pairs(self) -> int:
+        return self.neighborhood.edge_count
 
     @property
     def verified(self) -> bool:
@@ -145,35 +165,24 @@ def verify_line_graph_theorem(n: int, p: Partition) -> NeighborhoodCheck:
     """Check every pair of neighbors of p: adjacent in the weight-n transfer
     graph exactly when their moves share a removable or an addable corner.
 
-    The two sides are computed independently: adjacency goes through the
-    conjugate-coordinate test on the actual neighbor partitions, corner
-    sharing looks only at the move labels.
+    The two sides are computed independently: adjacency comes from the
+    induced neighborhood, which applies the conjugate-coordinate test to the
+    actual neighbor partitions; corner sharing looks only at the move labels.
     """
-    if p.weight != n:
-        raise ValueError(f"{p} has weight {p.weight}, not {n}")
-    nbrs = neighbors(p)
-    moves = sorted(nbrs)
+    neighborhood = induced_neighborhood(n, p)
     violations = []
-    adjacent_pairs = 0
-    pairs_checked = 0
-    for a, b in combinations(moves, 2):
-        pairs_checked += 1
-        adjacent = are_adjacent(nbrs[a], nbrs[b])
-        share = a.i == b.i or a.j == b.j
-        if adjacent:
-            adjacent_pairs += 1
+    for (a, first), (b, second) in combinations(enumerate(neighborhood.labels), 2):
+        adjacent = neighborhood.has_edge(a, b)
+        share = first.i == second.i or first.j == second.j
         if adjacent != share:
-            violations.append(PairCheck(a, b, adjacent, share))
-    return NeighborhoodCheck(p, tuple(moves), pairs_checked, adjacent_pairs, tuple(violations))
+            violations.append(PairCheck(first, second, adjacent, share))
+    return NeighborhoodCheck(p, neighborhood, tuple(violations))
 
 
 def _maximal_cliques(graph: SimpleGraph) -> Iterator[frozenset[int]]:
     # Bron-Kerbosch with a max-degree pivot; deterministic because candidate
     # iteration and pivot tie-breaks are index-ordered.
-    adj: list[set[int]] = [set() for _ in range(graph.vertex_count)]
-    for a, b in graph.edges:
-        adj[a].add(b)
-        adj[b].add(a)
+    adj = graph._adjacency
 
     def expand(clique: set[int], candidates: set[int], excluded: set[int]) -> Iterator[frozenset[int]]:
         if not candidates and not excluded:

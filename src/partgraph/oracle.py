@@ -184,38 +184,29 @@ def _type_prediction(T: LocalType) -> dict:
 def verify_type_determinacy(n_max: int) -> CheckResult:
     """Partitions of equal local type must expose identical local data.
 
-    Sweeps every partition of every weight up to n_max.  The first partition
-    of each type is checked against what the type alone predicts; every later
-    one against the first, across different weights.
+    Sweeps every partition of every weight up to n_max and checks each one
+    against what its type alone predicts, so by transitivity all partitions
+    of a type agree with each other, across different weights.
     """
     start = time.perf_counter()
     failures: list[dict] = []
-    first_seen: dict[LocalType, tuple[int, Partition, dict]] = {}
+    predictions: dict[LocalType, dict] = {}
     examined = 0
     for n in range(1, n_max + 1):
         for p in enumerate_partitions(n):
             examined += 1
             signature = _local_signature(n, p)
             T = local_type(p)
-            if T not in first_seen:
-                predicted = _type_prediction(T)
-                for key in signature:
-                    if signature[key] != predicted[key]:
-                        failures.append(_failure(
-                            "type_determinacy", n, p,
-                            f"{key} disagrees with the type model: "
-                            f"{signature[key]!r} vs {predicted[key]!r}",
-                        ))
-                first_seen[T] = (n, p, signature)
-            else:
-                ref_n, ref_p, ref_signature = first_seen[T]
-                for key in signature:
-                    if signature[key] != ref_signature[key]:
-                        failures.append(_failure(
-                            "type_determinacy", n, p,
-                            f"{key} differs from {ref_p} (weight {ref_n}) of the "
-                            f"same type: {signature[key]!r} vs {ref_signature[key]!r}",
-                        ))
+            if T not in predictions:
+                predictions[T] = _type_prediction(T)
+            predicted = predictions[T]
+            for key in signature:
+                if signature[key] != predicted[key]:
+                    failures.append(_failure(
+                        "type_determinacy", n, p,
+                        f"{key} disagrees with the type model: "
+                        f"{signature[key]!r} vs {predicted[key]!r}",
+                    ))
     ms = (time.perf_counter() - start) * 1000
     return CheckResult("type_determinacy", examined, failures, ms)
 

@@ -27,7 +27,7 @@ class Partition:
         if not self.parts:
             raise ValueError("a partition needs at least one part")
         for part in self.parts:
-            if not isinstance(part, int) or part <= 0:
+            if type(part) is not int or part <= 0:
                 raise ValueError(f"every part must be a positive integer, got {part!r}")
         for a, b in zip(self.parts, self.parts[1:]):
             if a < b:

@@ -45,6 +45,14 @@ class TestSimpleGraph:
         assert not g.has_edge(0, 2)
         assert g.neighbors_of(1) == {0, 2}
 
+    @given(small_graphs())
+    def test_adjacency_agrees_with_edge_scan(self, g):
+        for v in range(g.vertex_count):
+            scanned = {b if a == v else a for a, b in g.edges if v in (a, b)}
+            assert g.neighbors_of(v) == scanned
+            assert g.degree(v) == len(scanned)
+        assert sum(g.degree(v) for v in range(g.vertex_count)) == 2 * g.edge_count
+
     @pytest.mark.parametrize("edges", [{(0, 3)}, {(1, 0)}, {(2, 2)}])
     def test_rejects_bad_edges(self, edges):
         with pytest.raises(ValueError):
@@ -154,7 +162,10 @@ class TestLineGraphTheoremCheck:
 
     def test_all_weight_eight(self):
         for p in enumerate_partitions(8):
-            assert verify_line_graph_theorem(8, p).verified
+            check = verify_line_graph_theorem(8, p)
+            assert check.verified
+            assert check.neighborhood == induced_neighborhood(8, p)
+            assert check.moves == check.neighborhood.labels
 
     def test_weight_mismatch_rejected(self):
         with pytest.raises(ValueError):

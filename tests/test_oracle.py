@@ -1,8 +1,12 @@
 import pytest
 
+import partgraph.oracle
 from partgraph import (
     CheckResult,
     VerificationReport,
+    enumerate_partitions,
+    local_type,
+    make_partition,
     run_all,
     verify_cliques,
     verify_degrees,
@@ -42,6 +46,35 @@ class TestSingleWeightVerifiers:
         result = verify_type_determinacy(8)
         assert result.examined == total_partitions(8)
         assert result.passed
+
+
+class TestTypeDeterminacyFailures:
+    def test_every_partition_of_a_mispredicted_type_fails(self, monkeypatch):
+        # 2,2 shares its type with 2,2,2 / 2,2,2,2 / 3,3 / 4,4 up to weight 8.
+        bad_type = local_type(make_partition([2, 2]))
+        predict = partgraph.oracle._type_prediction
+
+        def wrong_degree(T):
+            predicted = predict(T)
+            if T == bad_type:
+                predicted["degree"] += 1
+            return predicted
+
+        monkeypatch.setattr(partgraph.oracle, "_type_prediction", wrong_degree)
+        result = verify_type_determinacy(8)
+        flagged = {(f["n"], f["partition"]) for f in result.failures}
+        expected = {
+            (n, str(p))
+            for n in range(1, 9)
+            for p in enumerate_partitions(n)
+            if local_type(p) == bad_type
+        }
+        assert len(expected) == 5
+        assert flagged == expected
+        assert len(result.failures) == len(expected)
+        for failure in result.failures:
+            assert failure["check"] == "type_determinacy"
+            assert failure["detail"].startswith("degree disagrees with the type model")
 
 
 class TestRunAll:

@@ -31,7 +31,7 @@ class TestConstruction:
         assert p.blocks == ((5, 1),)
         assert p.support_size == 1
 
-    @pytest.mark.parametrize("bad", [[], [0], [3, -1], [0, 3], [2.0, 1]])
+    @pytest.mark.parametrize("bad", [[], [0], [3, -1], [0, 3], [2.0, 1], [True], [True, 1]])
     def test_rejects_invalid_parts(self, bad):
         with pytest.raises(ValueError):
             make_partition(bad)
