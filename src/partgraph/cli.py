@@ -33,7 +33,6 @@ from .local_model import (
 )
 from .oracle import run_all
 from .partitions import Partition, enumerate_partitions, parse_partition
-from .transfers import neighbors
 
 
 def _partition_argument(text: str) -> Partition:
@@ -131,7 +130,6 @@ def cmd_neighborhood(args: argparse.Namespace) -> int:
     check = verify_line_graph_theorem(n, p)
     observed = check.neighborhood
     predicted = line_graph(admissibility_graph(local_type(p)))
-    pairing = [(move, target) for move, target in sorted(neighbors(p).items())]
     if args.format == "json":
         _emit_json({
             "partition": list(p.parts),
@@ -140,7 +138,7 @@ def cmd_neighborhood(args: argparse.Namespace) -> int:
             "line_graph": predicted.to_json(),
             "bijection": [
                 {"move": move.to_json(), "neighbor": list(target.parts)}
-                for move, target in pairing
+                for move, target in zip(check.moves, check.targets)
             ],
             "pairs_checked": check.pairs_checked,
             "adjacent_pairs": check.adjacent_pairs,
@@ -156,8 +154,8 @@ def cmd_neighborhood(args: argparse.Namespace) -> int:
             "verified": check.verified,
         }, args.output)
         return 0
-    lines = [f"partition: {p}  (weight {n})", f"neighbors: {len(pairing)}"]
-    for move, target in pairing:
+    lines = [f"partition: {p}  (weight {n})", f"neighbors: {len(check.targets)}"]
+    for move, target in zip(check.moves, check.targets):
         lines.append(f"  {move}  =>  {target}")
     lines.append(f"neighborhood: {observed.vertex_count} vertices, {observed.edge_count} edges")
     lines.append(f"predicted line graph: {predicted.vertex_count} vertices, {predicted.edge_count} edges")

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from .local_model import AdmissibilityGraph
 from .partitions import Partition, enumerate_partitions
@@ -90,42 +90,41 @@ def label_json(label: Any) -> Any:
     return label
 
 
+def _relation_graph(labels: Iterable[Any], related: Callable[[Any, Any], bool]) -> SimpleGraph:
+    """The graph on the labels, in their given order, joining every related pair."""
+    labels = tuple(labels)
+    pairs = combinations(enumerate(labels), 2)
+    return SimpleGraph(labels, frozenset((a, b) for (a, x), (b, y) in pairs if related(x, y)))
+
+
+def _share_corner(first: TransferMove, second: TransferMove) -> bool:
+    return first.i == second.i or first.j == second.j
+
+
 def build_partition_graph(n: int) -> SimpleGraph:
     """The graph on all partitions of n, joined when a single cell transfer
     maps one to the other."""
-    vertices = enumerate_partitions(n)
-    edges = frozenset(
-        (a, b)
-        for a, b in combinations(range(len(vertices)), 2)
-        if are_adjacent(vertices[a], vertices[b])
-    )
-    return SimpleGraph(tuple(vertices), edges)
+    return _relation_graph(enumerate_partitions(n), are_adjacent)
 
 
-def induced_neighborhood(n: int, p: Partition) -> SimpleGraph:
-    """The subgraph induced on the neighbors of p, labeled by the moves reaching them."""
+def _observe_neighborhood(n: int, p: Partition) -> tuple[tuple[Partition, ...], SimpleGraph]:
+    """The neighbors of p in sorted move order and the graph they induce on the moves."""
     if p.weight != n:
         raise ValueError(f"{p} has weight {p.weight}, not {n}")
     nbrs = neighbors(p)
     moves = sorted(nbrs)
-    targets = [nbrs[move] for move in moves]
-    edges = frozenset(
-        (a, b)
-        for a, b in combinations(range(len(moves)), 2)
-        if are_adjacent(targets[a], targets[b])
-    )
-    return SimpleGraph(tuple(moves), edges)
+    graph = _relation_graph(moves, lambda a, b: are_adjacent(nbrs[a], nbrs[b]))
+    return tuple(nbrs[move] for move in moves), graph
+
+
+def induced_neighborhood(n: int, p: Partition) -> SimpleGraph:
+    """The subgraph induced on the neighbors of p, labeled by the moves reaching them."""
+    return _observe_neighborhood(n, p)[1]
 
 
 def line_graph(B: AdmissibilityGraph) -> SimpleGraph:
     """Vertices are the edges of B, labeled as moves; adjacency is sharing an endpoint."""
-    moves = [TransferMove(i, j) for i, j in B.sorted_edges()]
-    edges = frozenset(
-        (a, b)
-        for a, b in combinations(range(len(moves)), 2)
-        if moves[a].i == moves[b].i or moves[a].j == moves[b].j
-    )
-    return SimpleGraph(tuple(moves), edges)
+    return _relation_graph((TransferMove(i, j) for i, j in B.sorted_edges()), _share_corner)
 
 
 @dataclass(frozen=True)
@@ -142,6 +141,7 @@ class PairCheck:
 class NeighborhoodCheck:
     partition: Partition
     neighborhood: SimpleGraph
+    targets: tuple[Partition, ...]
     violations: tuple[PairCheck, ...]
 
     @property
@@ -169,14 +169,14 @@ def verify_line_graph_theorem(n: int, p: Partition) -> NeighborhoodCheck:
     induced neighborhood, which applies the conjugate-coordinate test to the
     actual neighbor partitions; corner sharing looks only at the move labels.
     """
-    neighborhood = induced_neighborhood(n, p)
-    violations = []
-    for (a, first), (b, second) in combinations(enumerate(neighborhood.labels), 2):
-        adjacent = neighborhood.has_edge(a, b)
-        share = first.i == second.i or first.j == second.j
-        if adjacent != share:
-            violations.append(PairCheck(first, second, adjacent, share))
-    return NeighborhoodCheck(p, neighborhood, tuple(violations))
+    targets, observed = _observe_neighborhood(n, p)
+    moves = observed.labels
+    corners = _relation_graph(moves, _share_corner)
+    violations = tuple(
+        PairCheck(moves[a], moves[b], (a, b) in observed.edges, (a, b) in corners.edges)
+        for a, b in sorted(observed.edges ^ corners.edges)
+    )
+    return NeighborhoodCheck(p, observed, targets, violations)
 
 
 def _maximal_cliques(graph: SimpleGraph) -> Iterator[frozenset[int]]:

@@ -1,20 +1,22 @@
 """Exhaustive cross-checking of every closed form against brute force.
 
-Each verifier sweeps all partitions of a weight and recomputes an invariant
-along two or three independent routes: move enumeration, adjacency testing
-in the constructed graph, clique search, and the closed formulas.  A failure
-entry records the partition and both values, enough to replay the case with
-one CLI call.
+Each verifier sweeps all partitions of a weight.  degrees compares distinct
+neighbors, the formula and the degree in the built graph; neighborhoods, the
+conjugate test on actual neighbors against corner sharing of the move labels;
+cliques, Bron-Kerbosch search against the closed form, plus the classification;
+type_determinacy, its own adjacency and clique search against the type model.
+Each failure records the partition and both values, enough to replay it.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import combinations
 
 from .graphs import (
     CliqueClassificationError,
+    _maximal_cliques,
+    _relation_graph,
     build_partition_graph,
     classify_clique,
     cliques_through,
@@ -76,7 +78,7 @@ def _failure(check: str, n: int, p: Partition, detail: str) -> dict:
 def verify_degrees(n: int, with_graph: bool = True) -> CheckResult:
     """Three-way degree check over all partitions of n.
 
-    Compares the brute-force neighbor count, the closed formula, and, unless
+    Compares the count of distinct neighbors, the closed formula, and, unless
     with_graph is false, the vertex degree in the fully built transfer graph.
     """
     start = time.perf_counter()
@@ -85,7 +87,7 @@ def verify_degrees(n: int, with_graph: bool = True) -> CheckResult:
     graph = build_partition_graph(n) if with_graph else None
     for idx, p in enumerate(vertices):
         values = {
-            "neighbor_count": len(neighbors(p)),
+            "neighbor_count": len(set(neighbors(p).values()) - {p}),
             "formula": degree_formula(local_type(p)),
         }
         if graph is not None:
@@ -150,19 +152,18 @@ def verify_cliques(n: int) -> CheckResult:
     return CheckResult("cliques", len(vertices), failures, ms)
 
 
-def _local_signature(n: int, p: Partition) -> dict:
-    # Everything below is recomputed from the concrete partition: moves via
-    # the admissibility test, adjacency via conjugates of actual neighbors,
-    # clique number via search.  Nothing reads the type-level closed forms.
+def _local_signature(p: Partition) -> dict:
+    # Recomputed from the concrete partition, observed once: moves via the
+    # admissibility test, adjacency via conjugates of the actual neighbors and
+    # clique number via search on that graph.  Nothing reads the type-level
+    # closed forms, and no other check's neighborhood is reused.
     nbrs = neighbors(p)
-    moves = tuple(sorted(nbrs))
-    adjacency = tuple(
-        (a, b) for a, b in combinations(moves, 2) if are_adjacent(nbrs[a], nbrs[b])
-    )
-    omega = 1 + max((len(clique) for clique in cliques_through(n, p)), default=0)
+    graph = _relation_graph(sorted(nbrs), lambda a, b: are_adjacent(nbrs[a], nbrs[b]))
+    moves = graph.labels
+    omega = 1 + max((len(clique) for clique in _maximal_cliques(graph)), default=0)
     return {
         "moves": moves,
-        "adjacency": adjacency,
+        "adjacency": tuple((moves[a], moves[b]) for a, b in graph.sorted_edges()),
         "degree": len(moves),
         "clique_number": omega,
         "dimension": omega - 1,
@@ -195,7 +196,7 @@ def verify_type_determinacy(n_max: int) -> CheckResult:
     for n in range(1, n_max + 1):
         for p in enumerate_partitions(n):
             examined += 1
-            signature = _local_signature(n, p)
+            signature = _local_signature(p)
             T = local_type(p)
             if T not in predictions:
                 predictions[T] = _type_prediction(T)

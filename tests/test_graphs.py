@@ -3,8 +3,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from itertools import combinations
 
+import partgraph.graphs
 from partgraph import (
     CliqueClassificationError,
+    PairCheck,
     SimpleGraph,
     TransferMove,
     admissibility_graph,
@@ -17,6 +19,8 @@ from partgraph import (
     line_graph,
     local_type,
     make_partition,
+    neighbors,
+    parse_move,
     verify_line_graph_theorem,
 )
 from partgraph.graphs import _maximal_cliques
@@ -166,6 +170,24 @@ class TestLineGraphTheoremCheck:
             assert check.verified
             assert check.neighborhood == induced_neighborhood(8, p)
             assert check.moves == check.neighborhood.labels
+            assert check.targets == tuple(neighbors(p)[m] for m in check.moves)
+
+    # 4,4,2,2 admits all six moves: 9 pairs share a corner, 6 do not.
+    @pytest.mark.parametrize("adjacent, share_corner, flagged", [
+        (lambda p, q: False, True,
+         "1->1/1->2 1->1/1->3 1->1/2->1 1->2/1->3 1->2/2->2 "
+         "1->3/2->3 2->1/2->2 2->1/2->3 2->2/2->3"),
+        (lambda p, q: p != q, False,
+         "1->1/2->2 1->1/2->3 1->2/2->1 1->2/2->3 1->3/2->1 1->3/2->2"),
+    ])
+    def test_violations_in_sorted_move_order(self, monkeypatch, adjacent, share_corner, flagged):
+        monkeypatch.setattr(partgraph.graphs, "are_adjacent", adjacent)
+        check = verify_line_graph_theorem(12, make_partition([4, 4, 2, 2]))
+        assert check.violations == tuple(
+            PairCheck(parse_move(a), parse_move(b), not share_corner, share_corner)
+            for a, b in (pair.split("/") for pair in flagged.split())
+        )
+        assert not check.verified
 
     def test_weight_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,13 @@
+from collections import Counter
+
 import pytest
 
+import partgraph.graphs
 import partgraph.oracle
+import partgraph.transfers
 from partgraph import (
     CheckResult,
+    TransferMove,
     VerificationReport,
     enumerate_partitions,
     local_type,
@@ -75,6 +80,73 @@ class TestTypeDeterminacyFailures:
         for failure in result.failures:
             assert failure["check"] == "type_determinacy"
             assert failure["detail"].startswith("degree disagrees with the type model")
+
+
+class TestFailureDetails:
+    def test_degrees_count_distinct_neighbors(self, monkeypatch):
+        # Send both moves of 4,4 (1->1 and 1->2) to the partition 1->1 reaches.
+        apply = partgraph.transfers.apply_transfer
+        collided = make_partition([4, 4])
+
+        def collide(p, move):
+            return apply(p, TransferMove(1, 1) if p == collided else move)
+
+        monkeypatch.setattr(partgraph.transfers, "apply_transfer", collide)
+        without_graph = verify_degrees(8, with_graph=False)
+        with_graph = verify_degrees(8)
+        assert [(f["partition"], f["detail"]) for f in without_graph.failures] == [
+            ("4,4", "degree mismatch: {'neighbor_count': 1, 'formula': 2}"),
+        ]
+        assert [(f["partition"], f["detail"]) for f in with_graph.failures] == [
+            ("4,4", "degree mismatch: {'neighbor_count': 1, 'formula': 2, 'graph_degree': 2}"),
+        ]
+
+    @pytest.mark.parametrize("adjacent, flagged", [
+        (lambda p, q: False, [
+            ("3,1", "pair 1->2/1->3: adjacent_in_graph=False, share_corner=True"),
+            ("2,2", "pair 1->1/1->2: adjacent_in_graph=False, share_corner=True"),
+            ("2,1,1", "pair 2->1/2->2: adjacent_in_graph=False, share_corner=True"),
+        ]),
+        (lambda p, q: p != q, [
+            ("3,1", "pair 1->2/2->1: adjacent_in_graph=True, share_corner=False"),
+            ("3,1", "pair 1->3/2->1: adjacent_in_graph=True, share_corner=False"),
+            ("2,1,1", "pair 1->3/2->1: adjacent_in_graph=True, share_corner=False"),
+            ("2,1,1", "pair 1->3/2->2: adjacent_in_graph=True, share_corner=False"),
+        ]),
+    ])
+    def test_neighborhood_pair_detail(self, monkeypatch, adjacent, flagged):
+        monkeypatch.setattr(partgraph.graphs, "are_adjacent", adjacent)
+        result = verify_neighborhoods(4)
+        assert [(f["partition"], f["detail"]) for f in result.failures] == flagged
+        assert all(f["check"] == "neighborhoods" and f["n"] == 4 for f in result.failures)
+
+    def test_clique_number_mismatch_detail(self, monkeypatch):
+        formula = partgraph.oracle.local_clique_number
+        monkeypatch.setattr(partgraph.oracle, "local_clique_number", lambda T: formula(T) + 1)
+        result = verify_cliques(4)
+        expected = []
+        for partition, searched in [("4", 2), ("3,1", 3), ("2,2", 3), ("2,1,1", 3), ("1,1,1,1", 2)]:
+            expected += [
+                (partition, f"clique number mismatch: search={searched}, formula={searched + 1}"),
+                (partition, f"dimension mismatch: {searched - 1} vs clique number {searched + 1}"),
+            ]
+        assert [(f["partition"], f["detail"]) for f in result.failures] == expected
+
+    def test_type_determinacy_observes_each_partition_once(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for module in (partgraph.oracle, partgraph.graphs):
+            for name in ("are_adjacent", "neighbors"):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        assert verify_type_determinacy(8).passed
+        # 66 partitions of weight <= 8, and 363 = sum of C(degree, 2) over them.
+        assert calls == {"are_adjacent": 363, "neighbors": 66}
 
 
 class TestRunAll:
