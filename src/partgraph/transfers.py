@@ -157,7 +157,11 @@ def are_adjacent(p: Partition, q: Partition) -> bool:
 
     Two distinct partitions of the same weight are adjacent exactly when the
     difference of their conjugates is one cell out of one column and into
-    another: a single +1 and a single -1, zero elsewhere.
+    another: a single +1 and a single -1, zero elsewhere.  The two conjugates
+    are compared run by run, as step functions over the columns given by
+    their blocks, so the test costs O(t_p + t_q) steps.  The widths of the
+    runs where the difference is +1 and -1 are added up, and the test fails
+    as soon as a run differs by more than one or either total passes one.
     """
     if p.weight != q.weight:
         raise ValueError(
@@ -165,15 +169,32 @@ def are_adjacent(p: Partition, q: Partition) -> bool:
         )
     if p == q:
         return False
-    cp = conjugate(p).parts
-    cq = conjugate(q).parts
-    gained = lost = 0
-    for k in range(max(len(cp), len(cq))):
-        d = (cq[k] if k < len(cq) else 0) - (cp[k] if k < len(cp) else 0)
+    end = max(p.parts[0], q.parts[0])
+    # A zero run past the last column of each conjugate, wide enough to reach `end`.
+    runs_p = conjugate(p).blocks + ((0, end),)
+    runs_q = conjugate(q).blocks + ((0, end),)
+    (vp, wp), (vq, wq) = runs_p[0], runs_q[0]
+    i = j = col = gained = lost = 0
+    while col < end:
+        width = min(wp, wq)
+        d = vq - vp
         if d == 1:
-            gained += 1
+            gained += width
+            if gained > 1:
+                return False
         elif d == -1:
-            lost += 1
-        elif d != 0:
+            lost += width
+            if lost > 1:
+                return False
+        elif d:
             return False
+        col += width
+        wp -= width
+        wq -= width
+        if not wp:
+            i += 1
+            vp, wp = runs_p[i]
+        if not wq:
+            j += 1
+            vq, wq = runs_q[j]
     return gained == 1 and lost == 1

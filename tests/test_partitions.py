@@ -40,6 +40,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Partition((2, 4))
 
+    def test_direct_constructor_requires_a_tuple(self):
+        # a list would make the instance unhashable and unequal to its tuple twin
+        with pytest.raises(ValueError):
+            Partition([3, 1])
+
     def test_str_form(self):
         assert str(make_partition([4, 2, 4, 2])) == "4,4,2,2"
 
