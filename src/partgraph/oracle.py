@@ -5,7 +5,7 @@ neighbors, the formula and the degree in the built graph; neighborhoods, the
 conjugate test on actual neighbors against corner sharing of the move labels;
 cliques, Bron-Kerbosch search against the closed form, plus the classification;
 type_determinacy, its own adjacency and clique search against the type model.
-Each failure records the partition and both values, enough to replay it.
+Each failure records the partition, both values and a `replay` CLI command.
 """
 
 from __future__ import annotations
@@ -71,8 +71,14 @@ class VerificationReport:
         }
 
 
-def _failure(check: str, n: int, p: Partition, detail: str) -> dict:
-    return {"check": check, "n": n, "partition": str(p), "detail": detail}
+def _failure(check: str, n: int, p: Partition, detail: str, degrees_only: bool = False) -> dict:
+    if check == "neighborhoods":
+        replay = f"partgraph neighborhood {p}"
+    elif check == "cliques":
+        replay = f"partgraph cliques {p}"
+    else:
+        replay = f"partgraph verify --nmax {n}" + (" --degrees-only" if degrees_only else "")
+    return {"check": check, "n": n, "partition": str(p), "detail": detail, "replay": replay}
 
 
 def verify_degrees(n: int, with_graph: bool = True) -> CheckResult:
@@ -93,7 +99,9 @@ def verify_degrees(n: int, with_graph: bool = True) -> CheckResult:
         if graph is not None:
             values["graph_degree"] = graph.degree(idx)
         if len(set(values.values())) != 1:
-            failures.append(_failure("degrees", n, p, f"degree mismatch: {values}"))
+            failures.append(_failure(
+                "degrees", n, p, f"degree mismatch: {values}", degrees_only=not with_graph,
+            ))
     ms = (time.perf_counter() - start) * 1000
     return CheckResult("degrees", len(vertices), failures, ms)
 

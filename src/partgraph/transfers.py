@@ -1,19 +1,18 @@
 """Single-cell transfers between diagram corners and the adjacency they generate.
 
 A move "i->j" takes the corner cell of block i and re-attaches it at the j-th
-addable corner.  Exactly two kinds of moves fail to produce a new partition:
-moving the corner of a multiplicity-one block onto its own column (j == i),
-and moving across a gap of one (j == i + 1), which only swaps two sizes.
-Every other move is admissible, and distinct admissible moves from the same
-partition land on distinct partitions.
+addable corner, so it edits two rows of the parts.  Only two kinds of moves
+make no new partition: j == i on a block of multiplicity one (the cell goes
+back) and j == i + 1 across a gap of one (two sizes swap).  Every other move
+is admissible, and distinct admissible moves from one partition land on
+distinct partitions.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
-from .partitions import Partition, conjugate, gaps
+from .partitions import Partition, conjugate
 
 
 @dataclass(frozen=True, order=True)
@@ -74,28 +73,28 @@ def _check_range(p: Partition, move: TransferMove) -> None:
 
 
 def _obstruction(p: Partition, move: TransferMove) -> str | None:
-    if move.j == move.i and p.multiplicities()[move.i - 1] == 1:
+    blocks = p.blocks
+    size, mult = blocks[move.i - 1]
+    if move.j == move.i and mult == 1:
         return "singleton_block"
-    if move.j == move.i + 1 and gaps(p)[move.i - 1] == 1:
+    if move.j == move.i + 1 and size - (blocks[move.i][0] if move.i < len(blocks) else 0) == 1:
         return "unit_gap"
     return None
+
+
+_OBSTRUCTIONS = {
+    "singleton_block":
+        "block {} has multiplicity one, so the transfer puts the cell back where it came from",
+    "unit_gap": "the gap after block {} is one, so the transfer only swaps two part sizes",
+}
 
 
 def _require_admissible(p: Partition, move: TransferMove) -> None:
     _check_range(p, move)
     reason = _obstruction(p, move)
-    if reason == "singleton_block":
-        raise InadmissibleTransferError(
-            move, reason,
-            f"move {move} on {p}: block {move.i} has multiplicity one, so the "
-            f"transfer puts the cell back where it came from",
-        )
-    if reason == "unit_gap":
-        raise InadmissibleTransferError(
-            move, reason,
-            f"move {move} on {p}: the gap after block {move.i} is one, so the "
-            f"transfer only swaps two part sizes",
-        )
+    if reason:
+        why = _OBSTRUCTIONS[reason].format(move.i)
+        raise InadmissibleTransferError(move, reason, f"move {move} on {p}: {why}")
 
 
 def is_admissible(p: Partition, move: TransferMove) -> bool:
@@ -107,24 +106,28 @@ def is_admissible(p: Partition, move: TransferMove) -> bool:
 def apply_transfer(p: Partition, move: TransferMove) -> Partition:
     """Carry out an admissible move and return the resulting partition.
 
-    One part of the i-th distinct size shrinks by a cell (disappearing if the
-    size was one) and either a part of the j-th distinct size grows by a cell
-    or, for j == t+1, a new part of size one appears.
+    With M_i = m_1 + ... + m_i, row M_i - 1 (last of block i) loses a cell,
+    dropped at zero, and row M_(j-1) (first of block j) gains one, or j == t+1
+    appends a 1.  As gaps are >= 1, rows stay weakly decreasing except on the
+    two obstructions; `Partition` still validates.
     """
     _require_admissible(p, move)
-    sizes = p.block_sizes()
-    counts = Counter(p.parts)
-    source = sizes[move.i - 1]
-    counts[source] -= 1
-    if source > 1:
-        counts[source - 1] += 1
-    if move.j <= len(sizes):
-        target = sizes[move.j - 1]
-        counts[target] -= 1
-        counts[target + 1] += 1
+    parts = list(p.parts)
+    first = last = 0
+    for k, (_, mult) in enumerate(p.blocks, 1):
+        if k < move.j:
+            first += mult
+        if k <= move.i:
+            last += mult
+    last -= 1
+    parts[last] -= 1
+    if first < len(parts):
+        parts[first] += 1
     else:
-        counts[1] += 1
-    return Partition(tuple(sorted(counts.elements(), reverse=True)))
+        parts.append(1)
+    if not parts[last]:
+        del parts[last]
+    return Partition(tuple(parts))
 
 
 def neighbors(p: Partition) -> dict[TransferMove, Partition]:

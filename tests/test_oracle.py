@@ -18,6 +18,7 @@ from partgraph import (
     verify_neighborhoods,
     verify_type_determinacy,
 )
+from partgraph.cli import main
 
 from oracles import partition_count
 
@@ -80,6 +81,7 @@ class TestTypeDeterminacyFailures:
         for failure in result.failures:
             assert failure["check"] == "type_determinacy"
             assert failure["detail"].startswith("degree disagrees with the type model")
+            assert failure["replay"] == f"partgraph verify --nmax {failure['n']}"
 
 
 class TestFailureDetails:
@@ -100,6 +102,10 @@ class TestFailureDetails:
         assert [(f["partition"], f["detail"]) for f in with_graph.failures] == [
             ("4,4", "degree mismatch: {'neighbor_count': 1, 'formula': 2, 'graph_degree': 2}"),
         ]
+        assert [f["replay"] for f in without_graph.failures] == [
+            "partgraph verify --nmax 8 --degrees-only",
+        ]
+        assert [f["replay"] for f in with_graph.failures] == ["partgraph verify --nmax 8"]
 
     @pytest.mark.parametrize("adjacent, flagged", [
         (lambda p, q: False, [
@@ -114,11 +120,17 @@ class TestFailureDetails:
             ("2,1,1", "pair 1->3/2->2: adjacent_in_graph=True, share_corner=False"),
         ]),
     ])
-    def test_neighborhood_pair_detail(self, monkeypatch, adjacent, flagged):
+    def test_neighborhood_pair_detail(self, monkeypatch, capsys, adjacent, flagged):
         monkeypatch.setattr(partgraph.graphs, "are_adjacent", adjacent)
         result = verify_neighborhoods(4)
         assert [(f["partition"], f["detail"]) for f in result.failures] == flagged
         assert all(f["check"] == "neighborhoods" and f["n"] == 4 for f in result.failures)
+        assert [f["replay"] for f in result.failures] == [
+            f"partgraph neighborhood {partition}" for partition, _ in flagged
+        ]
+        for replay in {f["replay"] for f in result.failures}:
+            assert main([*replay.split()[1:], "--format", "json"]) == 0
+            assert '"verified": false' in capsys.readouterr().out
 
     def test_clique_number_mismatch_detail(self, monkeypatch):
         formula = partgraph.oracle.local_clique_number
@@ -131,6 +143,9 @@ class TestFailureDetails:
                 (partition, f"dimension mismatch: {searched - 1} vs clique number {searched + 1}"),
             ]
         assert [(f["partition"], f["detail"]) for f in result.failures] == expected
+        assert [f["replay"] for f in result.failures] == [
+            f"partgraph cliques {partition}" for partition, _ in expected
+        ]
 
     def test_type_determinacy_observes_each_partition_once(self, monkeypatch):
         calls = Counter()

@@ -20,6 +20,7 @@ from partgraph import (
 )
 
 from oracles import adjacent_by_cells, definition_admissible, raw_transfer_parts
+from test_block_form import block_patterns, from_pattern
 
 partitions = st.lists(st.integers(1, 9), min_size=1, max_size=8).map(make_partition)
 
@@ -101,6 +102,35 @@ class TestApply:
             assert q.parts == raw_transfer_parts(p.parts, move.i, move.j)
             assert q.weight == p.weight
             assert q != p
+
+
+def last_size_one(pattern):
+    gap_list, mults = pattern
+    return gap_list[:-1] + (1,), mults
+
+
+class TestWideGaps:
+    """The whole move grid on patterns with gaps in {1, 2, 17..60}."""
+
+    @settings(deadline=None)
+    @given(st.one_of(block_patterns(), block_patterns().map(last_size_one)))
+    def test_grid_matches_definition_and_raw_surgery(self, pattern):
+        gap_list, mults = pattern
+        p = from_pattern(gap_list, mults)
+        blocked = {(i, i): "singleton_block" for i, m in enumerate(mults, 1) if m == 1}
+        blocked.update({(i, i + 1): "unit_gap" for i, g in enumerate(gap_list, 1) if g == 1})
+        for move in move_grid(p):
+            reason = blocked.get((move.i, move.j))
+            admissible = is_admissible(p, move)
+            assert admissible == (reason is None)
+            assert admissible == definition_admissible(p.parts, move.i, move.j)
+            if admissible:
+                parts = apply_transfer(p, move).parts
+                assert parts == raw_transfer_parts(p.parts, move.i, move.j)
+            else:
+                with pytest.raises(InadmissibleTransferError) as excinfo:
+                    apply_transfer(p, move)
+                assert excinfo.value.reason == reason
 
 
 class TestNeighbors:
