@@ -7,9 +7,13 @@ parts into (size, multiplicity) pairs with strictly decreasing sizes.
 `conjugate` works on the block form: a partition with t blocks has a
 conjugate with t blocks, built in O(t) Python steps without a per-cell loop.
 It returns its result through the trusted constructor `Partition._from_blocks`,
-which skips validation.  That constructor is only for partitions derived from
-an already valid one; `Partition(...)`, `make_partition` and `parse_partition`
-validate every part, so input is still checked at the edge.
+which skips validation and stores only the blocks; the parts of such an
+instance are expanded the first time something reads them, so a conjugate
+whose columns number in the millions costs O(t) until then.  Each partition
+keeps its conjugate once computed.  The trusted constructor is only for
+partitions derived from an already valid one; `Partition(...)`,
+`make_partition` and `parse_partition` validate every part, so input is still
+checked at the edge.
 """
 
 from __future__ import annotations
@@ -59,18 +63,17 @@ class Partition:
         """Trusted constructor from a valid block form; skips `__post_init__`.
 
         Only for partitions derived from an already valid one.  The blocks go
-        where `cached_property` would have stored them.
+        where `cached_property` would have stored them; `parts` is left out
+        until something reads it (see `_PartsFromBlocks`).
         """
         self = object.__new__(cls)
-        parts = tuple(chain.from_iterable((size,) * mult for size, mult in blocks))
-        object.__setattr__(self, "parts", parts)
         self.__dict__["blocks"] = blocks
         return self
 
     @cached_property
     def weight(self) -> int:
         """The integer being partitioned."""
-        return sum(self.parts)
+        return sum(size * mult for size, mult in self.blocks)
 
     @property
     def support_size(self) -> int:
@@ -85,6 +88,33 @@ class Partition:
 
     def __str__(self) -> str:
         return ",".join(str(part) for part in self.parts)
+
+
+class _PartsFromBlocks:
+    """`Partition.parts` for an instance made by `Partition._from_blocks`.
+
+    A non-data descriptor, so a `parts` value in the instance dict shadows it:
+    a validated instance never reaches it.  A trusted one expands its blocks
+    on the first read and keeps the result in its dict.  A `__getattr__`
+    fallback would take every attribute of every `Partition` off the
+    interpreter's specialised lookup; this takes off only `parts`.
+    """
+
+    def __get__(
+        self, instance: Partition | None, owner: type | None = None
+    ) -> tuple[int, ...] | _PartsFromBlocks:
+        if instance is None:
+            return self
+        blocks = instance.__dict__.get("blocks")
+        if blocks is None:
+            raise AttributeError("parts")
+        parts = tuple(chain.from_iterable((size,) * mult for size, mult in blocks))
+        instance.__dict__["parts"] = parts
+        return parts
+
+
+# Set after the decorator, so that the dataclass does not take it for a default.
+Partition.parts = _PartsFromBlocks()  # type: ignore[assignment]
 
 
 def make_partition(parts: Iterable[int]) -> Partition:
@@ -105,8 +135,13 @@ def conjugate(p: Partition) -> Partition:
     """Transpose of the diagram: the k-th conjugate part counts parts >= k.
 
     With blocks (s_1^m_1, ..., s_t^m_t), M_i = m_1 + ... + m_i and s_{t+1} = 0,
-    the conjugate has blocks M_i^(s_i - s_{i+1}) for i = t down to 1.
+    the conjugate has blocks M_i^(s_i - s_{i+1}) for i = t down to 1.  The
+    result carries only those blocks (see `Partition._from_blocks`) and is
+    kept in p's instance dict, so each partition's conjugate is built once.
     """
+    cached = p.__dict__.get("_conjugate")
+    if cached is not None:
+        return cached
     blocks = p.blocks
     out: list[tuple[int, int]] = []
     rows = 0
@@ -114,7 +149,8 @@ def conjugate(p: Partition) -> Partition:
         rows += mult
         out.append((rows, size - (blocks[k][0] if k < len(blocks) else 0)))
     out.reverse()
-    return Partition._from_blocks(tuple(out))
+    p.__dict__["_conjugate"] = result = Partition._from_blocks(tuple(out))
+    return result
 
 
 def gaps(p: Partition) -> tuple[int, ...]:

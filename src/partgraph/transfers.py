@@ -165,6 +165,8 @@ def are_adjacent(p: Partition, q: Partition) -> bool:
     their blocks, so the test costs O(t_p + t_q) steps.  The widths of the
     runs where the difference is +1 and -1 are added up, and the test fails
     as soon as a run differs by more than one or either total passes one.
+    Only the conjugates' blocks are read, so their parts are never expanded,
+    and each partition's conjugate is built once and reused.
     """
     if p.weight != q.weight:
         raise ValueError(
@@ -172,7 +174,7 @@ def are_adjacent(p: Partition, q: Partition) -> bool:
         )
     if p == q:
         return False
-    end = max(p.parts[0], q.parts[0])
+    end = max(p.blocks[0][0], q.blocks[0][0])
     # A zero run past the last column of each conjugate, wide enough to reach `end`.
     runs_p = conjugate(p).blocks + ((0, end),)
     runs_q = conjugate(q).blocks + ((0, end),)

@@ -5,8 +5,12 @@ differ in length by tens of columns: the case where a run-by-run comparison
 and a cell-by-cell one are most likely to part ways.
 """
 
+import copy
+import dataclasses
 import io
 import json
+import pickle
+import tracemalloc
 from contextlib import redirect_stdout
 
 import pytest
@@ -134,6 +138,51 @@ class TestTrustBoundary:
         with pytest.raises(ValueError):
             Partition((1, 2))
         assert validations == [(3, 0), (1, 2)]
+
+
+class TestTrustedValue:
+    """A conjugate carries only its blocks, yet behaves as the validated value."""
+
+    @settings(deadline=None)
+    @given(block_patterns())
+    def test_conjugate_behaves_as_a_value(self, pattern):
+        p = from_pattern(*pattern)
+        c = conjugate(p)
+        conjugate(c)  # the memo rides along in the copies
+        copies = [copy.copy(c), copy.deepcopy(c)] + [
+            pickle.loads(pickle.dumps(c, protocol))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+        ]
+        validated = Partition(c.parts)
+        for other in copies:
+            assert other == validated
+            assert hash(other) == hash(validated)
+            assert conjugate(other) == p
+        assert repr(c) == repr(validated)
+        assert str(c) == str(validated)
+        assert c.weight == validated.weight == sum(validated.parts)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            c.parts = validated.parts
+        with pytest.raises(AttributeError):
+            getattr(c, "missing")
+        assert not hasattr(object.__new__(Partition), "parts")
+
+
+class TestCostIndependentOfPartSize:
+    def test_huge_parts_cost_no_memory(self):
+        tracemalloc.start()
+        try:
+            with redirect_stdout(io.StringIO()):
+                assert main(["cliques", "10000000,10000000,3", "--format", "json"]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+        p = parse_partition("10000000,10000000,3")
+        assert are_adjacent(p, parse_partition("10000000,9999999,4"))
+        assert "parts" not in vars(conjugate(p))
+        assert conjugate(p) is conjugate(p)
 
 
 def cli_json(*argv):
