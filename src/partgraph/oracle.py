@@ -89,8 +89,8 @@ def verify_degrees(n: int, with_graph: bool = True) -> CheckResult:
     """
     start = time.perf_counter()
     failures: list[dict] = []
-    vertices = enumerate_partitions(n)
     graph = build_partition_graph(n) if with_graph else None
+    vertices = graph.labels if graph is not None else enumerate_partitions(n)
     for idx, p in enumerate(vertices):
         values = {
             "neighbor_count": len(set(neighbors(p).values()) - {p}),

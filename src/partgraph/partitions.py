@@ -2,24 +2,26 @@
 
 A partition is stored as a weakly decreasing tuple of positive parts.  Most
 local computations work on the block form: the run-length encoding of the
-parts into (size, multiplicity) pairs with strictly decreasing sizes.
+parts into (size, multiplicity) pairs with strictly decreasing sizes.  Every
+partition carries its block form and its weight from construction on:
+`Partition(...)` builds both in the one pass over the parts that validates
+them, and the trusted constructor `Partition._from_blocks` is given the
+blocks and sums their weight.
 
 `conjugate` works on the block form: a partition with t blocks has a
 conjugate with t blocks, built in O(t) Python steps without a per-cell loop.
-It returns its result through the trusted constructor `Partition._from_blocks`,
-which skips validation and stores only the blocks; the parts of such an
-instance are expanded the first time something reads them, so a conjugate
-whose columns number in the millions costs O(t) until then.  Each partition
-keeps its conjugate once computed.  The trusted constructor is only for
-partitions derived from an already valid one; `Partition(...)`,
-`make_partition` and `parse_partition` validate every part, so input is still
-checked at the edge.
+It returns its result through `Partition._from_blocks`, which skips
+validation and leaves out the parts; the parts of such an instance are
+expanded the first time something reads them, so a conjugate whose columns
+number in the millions costs O(t) until then.  Each partition keeps its
+conjugate once computed.  The trusted constructor is only for partitions
+derived from an already valid one; `Partition(...)`, `make_partition` and
+`parse_partition` validate every part, so input is still checked at the edge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 from typing import Iterable, Iterator
 
@@ -31,49 +33,48 @@ class Partition:
     Construct directly only with a tuple of already-normalized parts; use
     :func:`make_partition` to sort arbitrary input.  Instances are immutable
     and hashable, so they can serve as graph vertices and dict keys.
+    Besides `parts`, each instance holds `blocks`, the block form, and
+    `weight`, the integer being partitioned.
     """
 
     parts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if type(self.parts) is not tuple:
-            raise ValueError(f"parts must be a tuple, got {type(self.parts).__name__}")
-        if not self.parts:
+        parts = self.parts
+        if type(parts) is not tuple:
+            raise ValueError(f"parts must be a tuple, got {type(parts).__name__}")
+        if not parts:
             raise ValueError("a partition needs at least one part")
-        for part in self.parts:
+        blocks: list[tuple[int, int]] = []
+        size, mult, weight, rising = parts[0], 0, 0, False
+        for part in parts:
             if type(part) is not int or part <= 0:
                 raise ValueError(f"every part must be a positive integer, got {part!r}")
-        for a, b in zip(self.parts, self.parts[1:]):
-            if a < b:
-                raise ValueError(f"parts must be weakly decreasing, got {self.parts}")
-
-    @cached_property
-    def blocks(self) -> tuple[tuple[int, int], ...]:
-        """Run-length encoding ((size, multiplicity), ...), sizes strictly decreasing."""
-        out: list[tuple[int, int]] = []
-        for part in self.parts:
-            if out and out[-1][0] == part:
-                out[-1] = (part, out[-1][1] + 1)
-            else:
-                out.append((part, 1))
-        return tuple(out)
+            if part != size:
+                rising = rising or part > size
+                blocks.append((size, mult))
+                weight += size * mult
+                size, mult = part, 0
+            mult += 1
+        # Raised only once every part has passed, so a bad part is reported first.
+        if rising:
+            raise ValueError(f"parts must be weakly decreasing, got {parts}")
+        blocks.append((size, mult))
+        self.__dict__["blocks"] = tuple(blocks)
+        self.__dict__["weight"] = weight + size * mult
 
     @classmethod
     def _from_blocks(cls, blocks: tuple[tuple[int, int], ...]) -> Partition:
         """Trusted constructor from a valid block form; skips `__post_init__`.
 
-        Only for partitions derived from an already valid one.  The blocks go
-        where `cached_property` would have stored them; `parts` is left out
+        Only for partitions derived from an already valid one.  It stores the
+        blocks and their weight, as `__post_init__` does; `parts` is left out
         until something reads it (see `_PartsFromBlocks`).
         """
         self = object.__new__(cls)
         self.__dict__["blocks"] = blocks
+        self.__dict__["weight"] = sum(size * mult for size, mult in blocks)
         return self
-
-    @cached_property
-    def weight(self) -> int:
-        """The integer being partitioned."""
-        return sum(size * mult for size, mult in self.blocks)
 
     @property
     def support_size(self) -> int:

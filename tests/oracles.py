@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, groupby
 
 
 @lru_cache(maxsize=None)
@@ -31,6 +31,11 @@ def partition_count(n: int) -> int:
         total += sign * (partition_count(n - g1) + partition_count(n - g2))
         k += 1
     return total
+
+
+def run_length_blocks(parts: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """Block form ((size, multiplicity), ...) by grouping runs of equal parts."""
+    return tuple((size, sum(1 for _ in run)) for size, run in groupby(parts))
 
 
 def cells(parts: tuple[int, ...]) -> frozenset[tuple[int, int]]:

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from partgraph import (
@@ -11,9 +11,16 @@ from partgraph import (
     parse_partition,
 )
 
-from oracles import conjugate_parts_by_cells, partition_count
+from oracles import conjugate_parts_by_cells, partition_count, run_length_blocks
 
 partitions = st.lists(st.integers(1, 9), min_size=1, max_size=8).map(make_partition)
+
+# Few distinct sizes, long runs of each, sizes up to 10^6.
+long_runs = st.lists(
+    st.tuples(st.integers(1, 10**6), st.integers(1, 300)), min_size=1, max_size=6,
+).map(lambda runs: tuple(sorted(
+    (size for size, length in runs for _ in range(length)), reverse=True,
+)))
 
 
 class TestConstruction:
@@ -45,8 +52,38 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Partition([3, 1])
 
+    @pytest.mark.parametrize("parts,message", [
+        ((1, 2, 0), "every part must be a positive integer, got 0"),
+        ((1, 2, "a"), "every part must be a positive integer, got 'a'"),
+        ((2, 3, True), "every part must be a positive integer, got True"),
+        ((1, 2), "parts must be weakly decreasing, got (1, 2)"),
+    ])
+    def test_bad_part_is_reported_before_order(self, parts, message):
+        with pytest.raises(ValueError) as raised:
+            Partition(parts)
+        assert str(raised.value) == message
+
     def test_str_form(self):
         assert str(make_partition([4, 2, 4, 2])) == "4,4,2,2"
+
+
+class TestBlockEncoding:
+    @given(long_runs)
+    def test_matches_run_length_oracle(self, parts):
+        p = Partition(parts)
+        assert {"blocks", "weight"} <= vars(p).keys()
+        assert p.blocks == run_length_blocks(parts)
+        assert p.weight == sum(parts)
+
+    @settings(deadline=None, max_examples=30)
+    @given(long_runs)
+    def test_conjugate_expands_parts_only_when_read(self, parts):
+        c = conjugate(Partition(parts))
+        assert {"blocks", "weight"} <= vars(c).keys()
+        assert "parts" not in vars(c)
+        assert c.blocks == run_length_blocks(c.parts)
+        assert c.weight == sum(parts) == sum(c.parts)
+        assert "parts" in vars(c)
 
 
 class TestParse:
