@@ -7,11 +7,19 @@ Subcommands:
   neighborhood  a partition's neighborhood next to the predicted line graph
   cliques       maximal cliques through a partition, classified
   verify        run the exhaustive verifier, JSON report, exit 0 on PASS
+
+`main` parses with one parser per process.  It is built by the first `main`
+call, not at import, and only read afterwards: `parse_args` keeps no state
+between calls, so in-process callers (tests, benchmarks, library users, any
+number of threads) pay for the argparse setup once, and a shell call builds
+exactly one parser.  `build_parser` returns a fresh parser for callers that
+want to change one.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Sequence
@@ -32,7 +40,7 @@ from .local_model import (
     side_degrees,
 )
 from .oracle import run_all
-from .partitions import Partition, enumerate_partitions, parse_partition
+from .partitions import Partition, enumerate_partitions, parse_digits, parse_partition
 
 
 def _partition_argument(text: str) -> Partition:
@@ -44,7 +52,7 @@ def _partition_argument(text: str) -> Partition:
 
 def _positive_int(text: str) -> int:
     try:
-        value = int(text)
+        value = parse_digits(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
     if value < 1:
@@ -264,8 +272,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except OSError as exc:

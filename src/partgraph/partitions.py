@@ -123,10 +123,22 @@ def make_partition(parts: Iterable[int]) -> Partition:
     return Partition(tuple(sorted(parts, reverse=True)))
 
 
+def parse_digits(text: str) -> int:
+    """Read an integer written in ASCII digits, with surrounding whitespace allowed.
+
+    Unlike `int`, this rejects signs, underscores ("1_0") and non-ASCII digits
+    ("\u0663"), so no input is silently read as some other number.
+    """
+    digits = text.strip()
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"expected ASCII digits, got {text!r}")
+    return int(digits)
+
+
 def parse_partition(text: str) -> Partition:
     """Parse comma-separated parts, e.g. "4,2,4,2", into a normalized partition."""
     try:
-        values = [int(field) for field in text.split(",")]
+        values = [parse_digits(field) for field in text.split(",")]
     except ValueError:
         raise ValueError(f"cannot parse partition from {text!r}") from None
     return make_partition(values)

@@ -1,8 +1,18 @@
+import io
 import json
+import os
+import subprocess
+import sys
+import threading
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
+from partgraph import cli
 from partgraph.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -49,6 +59,25 @@ class TestLocalCommand:
             main(["local", "0,3"])
         assert excinfo.value.code == 2
         assert "0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["1_0,2", "\u0663,1", "+3"])
+    def test_non_ascii_digit_part_exits_2(self, capsys, text):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["local", text])
+        assert excinfo.value.code == 2
+        assert f"cannot parse partition from {text!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["partitions", "1_0"],
+    ["graph", "\u0663"],
+    ["verify", "--nmax", "+3"],
+])
+def test_non_ascii_digit_integer_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert f"expected an integer, got {argv[-1]!r}" in capsys.readouterr().err
 
 
 class TestGraphCommand:
@@ -144,3 +173,126 @@ class TestVerifyCommand:
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text())["pass"] is True
+
+
+def call(argv):
+    """Run `main` on argv; return its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+MIXED = [
+    ["local", "4,4,2,2"],
+    ["local", "453,453,303,153,152,2", "--format", "json"],
+    ["neighborhood", "3,2,1"],
+    ["neighborhood", "5,5,1", "--format", "json"],
+    ["cliques", "4,4,2,2", "--format", "json"],
+    ["cliques", "7,3,3,1"],
+    ["partitions", "6", "--format", "json"],
+    ["graph", "5", "--format", "dot"],
+    ["partitions", "5"],
+]
+
+
+class TestSharedParser:
+    """`main` parses with one parser per process; no call may see another's."""
+
+    def test_nothing_is_built_at_import(self):
+        probe = "import partgraph.cli as cli; print(cli._parser.cache_info().currsize)"
+        found = subprocess.run(
+            [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True, text=True, check=True,
+        )
+        assert found.stdout == "0\n"
+
+    def test_calls_match_a_fresh_parser(self, monkeypatch, tmp_path):
+        target = str(tmp_path / "g4.txt")
+        sequence = [
+            ["local", "4,4,2,2", "--format", "json"],
+            ["local", "4,4,2,2"],
+            ["graph", "4", "--output", target],
+            ["graph", "4"],
+            ["local", "0,3"],
+            ["cliques", "3,2,1"],
+        ]
+
+        def run_all_of(sequence):
+            results = []
+            for argv in sequence:
+                results.append(call(argv))
+                if "--output" in argv:
+                    written = Path(target)
+                    results.append(written.read_text())
+                    written.unlink()
+            return results
+
+        cli._parser.cache_clear()
+        shared = run_all_of(sequence)
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        fresh = run_all_of(sequence)
+        assert shared == fresh
+        json_local, text_local, to_file, written, to_stdout, bad, cliques = shared
+        assert json_local[1].startswith("{") and text_local[1].startswith("partition: ")
+        assert to_file == (0, "", "") and to_stdout == (0, written, "")
+        assert bad[0] == 2 and bad[1] == ""
+        assert bad[2].startswith("usage: partgraph local")
+        assert cliques[0] == 0 and cliques[1].startswith("partition: 3,2,1")
+
+    def test_parser_is_built_once(self, monkeypatch):
+        built = []
+        build_parser = cli.build_parser
+
+        def counting_build_parser():
+            built.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        cli._parser.cache_clear()
+        try:
+            for k in range(50):
+                assert call(MIXED[k % len(MIXED)])[0] == 0
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+
+    def test_threads_share_the_parser(self, tmp_path):
+        threads, calls = 4, 25
+        expected = {}
+        for k, argv in enumerate(MIXED):
+            target = tmp_path / f"serial_{k}.txt"
+            assert call([*argv, "--output", str(target)]) == (0, "", "")
+            expected[k] = target.read_text()
+
+        cli._parser.cache_clear()
+        start = threading.Barrier(threads)
+        codes = [[] for _ in range(threads)]
+
+        def worker(w):
+            start.wait()
+            for c in range(calls):
+                k = (w + c) % len(MIXED)
+                target = tmp_path / f"thread_{w}_{c}_{k}.txt"
+                codes[w].append(main([*MIXED[k], "--output", str(target)]))
+
+        pool = [threading.Thread(target=worker, args=(w,)) for w in range(threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, inside parse_args too
+        try:
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in pool)
+        assert codes == [[0] * calls] * threads
+        written = sorted(tmp_path.glob("thread_*.txt"))
+        assert len(written) == threads * calls
+        for path in written:
+            k = int(path.stem.rsplit("_", 1)[1])
+            assert path.read_text() == expected[k], path.name

@@ -10,6 +10,7 @@ from partgraph import (
     make_partition,
     parse_partition,
 )
+from partgraph.partitions import parse_digits
 
 from oracles import conjugate_parts_by_cells, partition_count, run_length_blocks
 
@@ -98,9 +99,27 @@ class TestParse:
         with pytest.raises(ValueError):
             parse_partition(bad)
 
+    @pytest.mark.parametrize("bad", ["1_0,2", "3,1_0", "\u0663,1", "\u00b2", "+3", "3,-1", "0x3"])
+    def test_rejects_anything_but_ascii_digits(self, bad):
+        # int() would read "1_0" as 10 and the Arabic-Indic "\u0663" as 3.
+        with pytest.raises(ValueError) as excinfo:
+            parse_partition(bad)
+        assert str(excinfo.value) == f"cannot parse partition from {bad!r}"
+
     @given(partitions)
     def test_roundtrips_str(self, p):
         assert parse_partition(str(p)) == p
+
+
+class TestParseDigits:
+    @pytest.mark.parametrize("text,expected", [("7", 7), (" 12 ", 12), ("\t0\n", 0), ("007", 7)])
+    def test_reads_ascii_digits(self, text, expected):
+        assert parse_digits(text) == expected
+
+    @pytest.mark.parametrize("bad", ["", " ", "1_0", "\u0663", "\u00b2", "+3", "-3", "3.0", "1 0"])
+    def test_rejects_everything_else(self, bad):
+        with pytest.raises(ValueError):
+            parse_digits(bad)
 
 
 class TestConjugate:
