@@ -100,7 +100,7 @@ def cmd_local(args: argparse.Namespace) -> int:
         }, args.output)
         return 0
     blocks = " ".join(f"{size}^{mult}" for size, mult in p.blocks)
-    moves = " ".join(f"{i}->{j}" for i, j in B.sorted_edges())
+    moves = " ".join(map(str, B.sorted_edges()))
     text = "\n".join([
         f"partition: {p}  (weight {p.weight})",
         f"blocks: {blocks}",

@@ -70,8 +70,8 @@ class SimpleGraph:
             "edges": [list(edge) for edge in self.sorted_edges()],
         }
 
-    def to_dot(self, name: str = "G") -> str:
-        lines = [f"graph {name} {{"]
+    def to_dot(self) -> str:
+        lines = ["graph G {"]
         for idx, label in enumerate(self.labels):
             lines.append(f'  {idx} [label="{label}"];')
         for a, b in self.sorted_edges():
@@ -112,9 +112,9 @@ def _observe_neighborhood(n: int, p: Partition) -> tuple[tuple[Partition, ...], 
     if p.weight != n:
         raise ValueError(f"{p} has weight {p.weight}, not {n}")
     nbrs = neighbors(p)
-    moves = sorted(nbrs)
-    graph = _relation_graph(moves, lambda a, b: are_adjacent(nbrs[a], nbrs[b]))
-    return tuple(nbrs[move] for move in moves), graph
+    targets = tuple(nbrs.values())
+    induced = _relation_graph(targets, are_adjacent)
+    return targets, SimpleGraph(tuple(nbrs), induced.edges)
 
 
 def induced_neighborhood(n: int, p: Partition) -> SimpleGraph:
@@ -123,8 +123,8 @@ def induced_neighborhood(n: int, p: Partition) -> SimpleGraph:
 
 
 def line_graph(B: AdmissibilityGraph) -> SimpleGraph:
-    """Vertices are the edges of B, labeled as moves; adjacency is sharing an endpoint."""
-    return _relation_graph((TransferMove(i, j) for i, j in B.sorted_edges()), _share_corner)
+    """Vertices are the edges of B, which are moves; adjacency is sharing an endpoint."""
+    return _relation_graph(B.sorted_edges(), _share_corner)
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,8 @@ Which moves out of a partition are admissible depends only on its support
 size t, on which blocks have multiplicity one, and on which gaps equal one.
 That data is the local type.  It determines a bipartite graph on removable
 corners (left, 1..t) and addable corners (right, 1..t+1) whose edges are the
-admissible moves, and closed forms for the degree, the per-corner degrees,
-and the largest clique through the partition.
+admissible moves themselves, as `TransferMove`s, and closed forms for the
+degree, the per-corner degrees, and the largest clique through the partition.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .partitions import Partition, gaps
+from .transfers import TransferMove
 
 
 @dataclass(frozen=True)
@@ -52,12 +53,15 @@ class LocalType:
 
 @dataclass(frozen=True)
 class AdmissibilityGraph:
-    """Bipartite graph of admissible moves: left vertices 1..t, right 1..t+1."""
+    """Bipartite graph of admissible moves: left vertices 1..t, right 1..t+1.
+
+    Each edge is the move i->j between removable corner i and addable corner j.
+    """
 
     t: int
-    edges: frozenset[tuple[int, int]]
+    edges: frozenset[TransferMove]
 
-    def sorted_edges(self) -> list[tuple[int, int]]:
+    def sorted_edges(self) -> list[TransferMove]:
         return sorted(self.edges)
 
     @property
@@ -82,12 +86,13 @@ def local_type(p: Partition) -> LocalType:
 
 
 def admissibility_graph(T: LocalType) -> AdmissibilityGraph:
-    """The full t x (t+1) grid minus one diagonal edge per singleton block and
-    one successor edge per unit gap."""
+    """The full t x (t+1) grid of moves minus one diagonal move per singleton
+    block and one successor move per unit gap.  Its edges are the admissible
+    moves out of any partition of type T."""
     deleted = {(i, i) for i in range(1, T.t + 1) if T.alpha[i - 1]}
     deleted |= {(i, i + 1) for i in range(1, T.t + 1) if T.beta[i - 1]}
     edges = frozenset(
-        (i, j)
+        TransferMove(i, j)
         for i in range(1, T.t + 1)
         for j in range(1, T.t + 2)
         if (i, j) not in deleted

@@ -32,7 +32,7 @@ from .local_model import (
     local_type,
 )
 from .partitions import Partition, enumerate_partitions
-from .transfers import TransferMove, are_adjacent, neighbors
+from .transfers import are_adjacent, neighbors
 
 
 @dataclass
@@ -166,8 +166,8 @@ def _local_signature(p: Partition) -> dict:
     # clique number via search on that graph.  Nothing reads the type-level
     # closed forms, and no other check's neighborhood is reused.
     nbrs = neighbors(p)
-    graph = _relation_graph(sorted(nbrs), lambda a, b: are_adjacent(nbrs[a], nbrs[b]))
-    moves = graph.labels
+    moves = tuple(nbrs)
+    graph = _relation_graph(nbrs.values(), are_adjacent)
     omega = 1 + max((len(clique) for clique in _maximal_cliques(graph)), default=0)
     return {
         "moves": moves,
@@ -182,7 +182,7 @@ def _type_prediction(T: LocalType) -> dict:
     B = admissibility_graph(T)
     L = line_graph(B)
     return {
-        "moves": tuple(TransferMove(i, j) for i, j in B.sorted_edges()),
+        "moves": tuple(B.sorted_edges()),
         "adjacency": tuple(sorted((L.labels[a], L.labels[b]) for a, b in L.edges)),
         "degree": degree_formula(T),
         "clique_number": local_clique_number(T),

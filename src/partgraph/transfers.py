@@ -10,18 +10,21 @@ distinct partitions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .partitions import Partition, conjugate
+from .partitions import Partition, conjugate, parse_digits
 
 
-@dataclass(frozen=True, order=True)
-class TransferMove:
+class TransferMove(NamedTuple):
     """A transfer "i->j" with 1-based indices.
 
     i ranges over the blocks of the partition (each block has one removable
     corner); j ranges over 1..t+1, where j <= t grows a part of the j-th
     distinct size and j == t+1 opens a new part of size one.
+
+    A move is its (i, j) pair: it equals, hashes and orders like that tuple,
+    and it is also the edge i-j of the admissibility graph.  This module
+    alone knows its text form "i->j" and its JSON form {"i": i, "j": j}.
     """
 
     i: int
@@ -35,12 +38,12 @@ class TransferMove:
 
 
 def parse_move(text: str) -> TransferMove:
-    """Parse a move from its "i->j" form."""
+    """Parse a move from its "i->j" form; both indices are ASCII digits."""
     left, sep, right = text.partition("->")
     try:
         if not sep:
             raise ValueError
-        return TransferMove(int(left), int(right))
+        return TransferMove(parse_digits(left), parse_digits(right))
     except ValueError:
         raise ValueError(f"cannot parse move from {text!r}, expected 'i->j'") from None
 

@@ -1,12 +1,14 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from partgraph import (
     LocalType,
     Partition,
+    TransferMove,
     admissibility_graph,
     degree_formula,
+    enumerate_partitions,
     line_graph,
     local_clique_number,
     local_dimension,
@@ -16,6 +18,8 @@ from partgraph import (
     side_degrees,
 )
 from partgraph.graphs import _maximal_cliques
+
+from test_block_form import block_patterns, from_pattern
 
 partitions = st.lists(st.integers(1, 9), min_size=1, max_size=8).map(make_partition)
 
@@ -87,7 +91,25 @@ class TestAdmissibilityGraph:
     @given(partitions)
     def test_edges_are_exactly_the_admissible_moves(self, p):
         B = admissibility_graph(local_type(p))
-        assert set(B.edges) == {(m.i, m.j) for m in neighbors(p)}
+        assert set(B.edges) == set(neighbors(p))
+
+    @staticmethod
+    def assert_edges_are_the_neighbor_moves_in_order(p):
+        moves = list(neighbors(p))
+        assert moves == sorted(moves)
+        edges = admissibility_graph(local_type(p)).sorted_edges()
+        assert edges == moves
+        assert all(type(edge) is TransferMove for edge in edges)
+
+    def test_sorted_edges_are_the_neighbor_moves_up_to_weight_12(self):
+        for n in range(1, 13):
+            for p in enumerate_partitions(n):
+                self.assert_edges_are_the_neighbor_moves_in_order(p)
+
+    @settings(deadline=None)
+    @given(block_patterns())
+    def test_sorted_edges_are_the_neighbor_moves_on_block_patterns(self, pattern):
+        self.assert_edges_are_the_neighbor_moves_in_order(from_pattern(*pattern))
 
 
 class TestDegreeFormula:

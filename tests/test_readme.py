@@ -66,6 +66,7 @@ def test_library_snippet_states_what_the_program_returns():
     exec(snippet, namespace)
     stated = stated_results(snippet)
     assert [expression for expression, _ in stated] == [
+        "admissibility_graph(local_type(p)).sorted_edges() == list(neighbors(p))",
         "degree_formula(local_type(p))",
         "local_clique_number(local_type(p))",
         "[classify_clique(c).kind for c in cliques_through(12, p)]",
@@ -73,7 +74,9 @@ def test_library_snippet_states_what_the_program_returns():
     ]
     for expression, value in stated:
         assert eval(expression, namespace) == value, expression
-    assert [value for _, value in stated] == [6, 4, ["star", "top", "top", "top", "star"], True]
+    assert [value for _, value in stated] == [
+        True, 6, 4, ["star", "top", "top", "top", "star"], True,
+    ]
 
     move, target = next(iter(neighbors(make_partition([4, 4, 2, 2])).items()))
     assert f"# {{{move!r}: {target!r}, ...}}" in snippet

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +21,7 @@ from partgraph import (
     parse_move,
     removable_corner_columns,
 )
+from partgraph.graphs import label_json
 
 from oracles import adjacent_by_cells, definition_admissible, raw_transfer_parts
 from test_block_form import block_patterns, from_pattern
@@ -232,7 +236,49 @@ class TestMoveParsing:
         assert parse_move("2->3") == TransferMove(2, 3)
         assert str(TransferMove(2, 3)) == "2->3"
 
-    @pytest.mark.parametrize("bad", ["", "1", "1-2", "a->b"])
+    def test_allows_surrounding_whitespace(self):
+        assert parse_move(" 2 -> 3 ") == TransferMove(2, 3)
+
+    @pytest.mark.parametrize("bad", [
+        "", "1", "1-2", "a->b", "1_0->2", "1->2_0", "+1->2", "-1->2", "1->-2", "\u0663->2",
+    ])
     def test_rejects_garbage(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"cannot parse move from .*, expected 'i->j'"):
             parse_move(bad)
+
+
+class TestMoveValue:
+    """A move is its (i, j) pair, with its own text and JSON forms."""
+
+    def test_text_forms(self):
+        move = TransferMove(2, 3)
+        assert repr(move) == "TransferMove(i=2, j=3)"
+        assert str(move) == "2->3"
+        assert move.to_json() == {"i": 2, "j": 3}
+        assert (move.i, move.j) == (2, 3)
+
+    def test_equals_hashes_and_orders_as_its_pair(self):
+        grid = [TransferMove(i, j) for i in range(1, 4) for j in range(1, 5)]
+        for move in grid:
+            assert move == (move.i, move.j)
+            assert hash(move) == hash((move.i, move.j))
+        assert sorted(reversed(grid)) == grid
+        assert TransferMove(1, 9) < TransferMove(2, 1) < TransferMove(2, 2)
+        assert tuple(TransferMove(4, 1)) == (4, 1)
+
+    def test_immutable(self):
+        move = TransferMove(1, 2)
+        with pytest.raises(AttributeError):
+            move.i = 5
+        assert move == TransferMove(1, 2)
+
+    def test_copies_round_trip(self):
+        move = TransferMove(3, 1)
+        for copied in (pickle.loads(pickle.dumps(move)), copy.deepcopy(move)):
+            assert copied == move
+            assert type(copied) is TransferMove
+            assert repr(copied) == repr(move)
+
+    def test_graph_json_is_the_move_form_not_a_list(self):
+        assert label_json(TransferMove(2, 3)) == {"i": 2, "j": 3}
+        assert label_json((2, 3)) == [2, 3]
