@@ -8,6 +8,10 @@ Subcommands:
   cliques       maximal cliques through a partition, classified
   verify        run the exhaustive verifier, JSON report, exit 0 on PASS
 
+Each `cmd_*` handler maps the parsed arguments to `(text, exit_status)` and
+does no I/O; `main` alone writes that text, to standard output or to the
+`--output` file.
+
 `main` parses with one parser per process.  It is built by the first `main`
 call, not at import, and only read afterwards: `parse_args` keeps no state
 between calls, so in-process callers (tests, benchmarks, library users, any
@@ -60,34 +64,24 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+def _json(payload: object) -> str:
+    return json.dumps(payload, indent=2) + "\n"
 
 
-def _emit_json(payload: object, output: str | None) -> None:
-    _emit(json.dumps(payload, indent=2) + "\n", output)
-
-
-def cmd_partitions(args: argparse.Namespace) -> int:
+def cmd_partitions(args: argparse.Namespace) -> tuple[str, int]:
     found = enumerate_partitions(args.n)
     if args.format == "json":
-        _emit_json([list(p.parts) for p in found], args.output)
-    else:
-        _emit("".join(f"{p}\n" for p in found), args.output)
-    return 0
+        return _json([list(p.parts) for p in found]), 0
+    return "".join(f"{p}\n" for p in found), 0
 
 
-def cmd_local(args: argparse.Namespace) -> int:
+def cmd_local(args: argparse.Namespace) -> tuple[str, int]:
     p = args.partition
     T = local_type(p)
     B = admissibility_graph(T)
     left, right = side_degrees(T)
     if args.format == "json":
-        _emit_json({
+        return _json({
             "partition": list(p.parts),
             "weight": p.weight,
             "type": T.to_json(),
@@ -97,11 +91,10 @@ def cmd_local(args: argparse.Namespace) -> int:
             "addable_side_degrees": list(right),
             "local_clique_number": local_clique_number(T),
             "local_dimension": local_dimension(T),
-        }, args.output)
-        return 0
+        }), 0
     blocks = " ".join(f"{size}^{mult}" for size, mult in p.blocks)
     moves = " ".join(map(str, B.sorted_edges()))
-    text = "\n".join([
+    return "\n".join([
         f"partition: {p}  (weight {p.weight})",
         f"blocks: {blocks}",
         f"support size: {T.t}",
@@ -113,33 +106,29 @@ def cmd_local(args: argparse.Namespace) -> int:
         f"addable-side degrees: {' '.join(map(str, right))}",
         f"local clique number: {local_clique_number(T)}",
         f"local simplex dimension: {local_dimension(T)}",
-    ]) + "\n"
-    _emit(text, args.output)
-    return 0
+    ]) + "\n", 0
 
 
-def cmd_graph(args: argparse.Namespace) -> int:
+def cmd_graph(args: argparse.Namespace) -> tuple[str, int]:
     graph = build_partition_graph(args.n)
     if args.format == "json":
-        _emit_json(graph.to_json(), args.output)
-    elif args.format == "dot":
-        _emit(graph.to_dot(), args.output)
-    else:
-        lines = [f"partitions of {args.n}: {graph.vertex_count} vertices, {graph.edge_count} edges"]
-        for a, b in graph.sorted_edges():
-            lines.append(f"  {graph.labels[a]}  --  {graph.labels[b]}")
-        _emit("\n".join(lines) + "\n", args.output)
-    return 0
+        return _json(graph.to_json()), 0
+    if args.format == "dot":
+        return graph.to_dot(), 0
+    lines = [f"partitions of {args.n}: {graph.vertex_count} vertices, {graph.edge_count} edges"]
+    for a, b in graph.sorted_edges():
+        lines.append(f"  {graph.labels[a]}  --  {graph.labels[b]}")
+    return "\n".join(lines) + "\n", 0
 
 
-def cmd_neighborhood(args: argparse.Namespace) -> int:
+def cmd_neighborhood(args: argparse.Namespace) -> tuple[str, int]:
     p = args.partition
     n = p.weight
     check = verify_line_graph_theorem(n, p)
     observed = check.neighborhood
     predicted = line_graph(admissibility_graph(local_type(p)))
     if args.format == "json":
-        _emit_json({
+        return _json({
             "partition": list(p.parts),
             "weight": n,
             "neighborhood": observed.to_json(),
@@ -160,8 +149,7 @@ def cmd_neighborhood(args: argparse.Namespace) -> int:
                 for v in check.violations
             ],
             "verified": check.verified,
-        }, args.output)
-        return 0
+        }), 0
     lines = [f"partition: {p}  (weight {n})", f"neighbors: {len(check.targets)}"]
     for move, target in zip(check.moves, check.targets):
         lines.append(f"  {move}  =>  {target}")
@@ -177,16 +165,15 @@ def cmd_neighborhood(args: argparse.Namespace) -> int:
             f"share_corner={v.share_corner}"
         )
     lines.append(f"verified: {'yes' if check.verified else 'NO'}")
-    _emit("\n".join(lines) + "\n", args.output)
-    return 0
+    return "\n".join(lines) + "\n", 0
 
 
-def cmd_cliques(args: argparse.Namespace) -> int:
+def cmd_cliques(args: argparse.Namespace) -> tuple[str, int]:
     p = args.partition
     found = cliques_through(p.weight, p)
     classified = [(clique, classify_clique(clique)) for clique in found]
     if args.format == "json":
-        _emit_json({
+        return _json({
             "partition": list(p.parts),
             "clique_count": len(found),
             "local_clique_number": local_clique_number(local_type(p)),
@@ -200,22 +187,19 @@ def cmd_cliques(args: argparse.Namespace) -> int:
                 }
                 for clique, cls in classified
             ],
-        }, args.output)
-        return 0
+        }), 0
     lines = [f"partition: {p}", f"maximal cliques through it: {len(found)}"]
     for clique, cls in classified:
         members = " ".join(str(move) for move in clique)
         corner = cls.removable if cls.kind in ("star", "both") else cls.addable
         lines.append(f"  size {len(clique)}  {cls.kind}({corner}): {members}")
     lines.append(f"local clique number: {local_clique_number(local_type(p))}")
-    _emit("\n".join(lines) + "\n", args.output)
-    return 0
+    return "\n".join(lines) + "\n", 0
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     report = run_all(args.nmax, degrees_only=args.degrees_only)
-    _emit_json(report.to_json(), args.output)
-    return 0 if report.passed else 1
+    return _json(report.to_json()), 0 if report.passed else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -224,49 +208,33 @@ def build_parser() -> argparse.ArgumentParser:
         description="Local structure of the single-cell transfer graph on integer partitions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    output = {"metavar": "PATH", "default": None,
+              "help": "write to this file instead of standard output"}
 
-    def add_output(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--output", metavar="PATH", default=None,
-                       help="write to this file instead of standard output")
+    def add_command(name, summary, handler, dest, kind, formats=("text", "json"), **options):
+        command = sub.add_parser(name, help=summary)
+        command.add_argument(dest, type=kind, **options)
+        command.add_argument("--format", choices=formats, default="text")
+        command.add_argument("--output", **output)
+        command.set_defaults(handler=handler)
 
-    p_partitions = sub.add_parser("partitions", help="list all partitions of a weight")
-    p_partitions.add_argument("n", type=_positive_int)
-    p_partitions.add_argument("--format", choices=["text", "json"], default="text")
-    add_output(p_partitions)
-    p_partitions.set_defaults(handler=cmd_partitions)
-
-    p_local = sub.add_parser("local", help="local invariants of one partition")
-    p_local.add_argument("partition", type=_partition_argument,
-                         help="comma-separated parts, e.g. 4,4,2,2")
-    p_local.add_argument("--format", choices=["text", "json"], default="text")
-    add_output(p_local)
-    p_local.set_defaults(handler=cmd_local)
-
-    p_graph = sub.add_parser("graph", help="export the whole transfer graph of a weight")
-    p_graph.add_argument("n", type=_positive_int)
-    p_graph.add_argument("--format", choices=["text", "json", "dot"], default="text")
-    add_output(p_graph)
-    p_graph.set_defaults(handler=cmd_graph)
-
-    p_nbhd = sub.add_parser("neighborhood",
-                            help="neighborhood of a partition next to its predicted line graph")
-    p_nbhd.add_argument("partition", type=_partition_argument)
-    p_nbhd.add_argument("--format", choices=["text", "json"], default="text")
-    add_output(p_nbhd)
-    p_nbhd.set_defaults(handler=cmd_neighborhood)
-
-    p_cliques = sub.add_parser("cliques", help="maximal cliques through a partition, classified")
-    p_cliques.add_argument("partition", type=_partition_argument)
-    p_cliques.add_argument("--format", choices=["text", "json"], default="text")
-    add_output(p_cliques)
-    p_cliques.set_defaults(handler=cmd_cliques)
+    add_command("partitions", "list all partitions of a weight", cmd_partitions,
+                "n", _positive_int)
+    add_command("local", "local invariants of one partition", cmd_local,
+                "partition", _partition_argument, help="comma-separated parts, e.g. 4,4,2,2")
+    add_command("graph", "export the whole transfer graph of a weight", cmd_graph,
+                "n", _positive_int, formats=("text", "json", "dot"))
+    add_command("neighborhood", "neighborhood of a partition next to its predicted line graph",
+                cmd_neighborhood, "partition", _partition_argument)
+    add_command("cliques", "maximal cliques through a partition, classified", cmd_cliques,
+                "partition", _partition_argument)
 
     p_verify = sub.add_parser("verify", help="exhaustive verification sweep, JSON report")
     p_verify.add_argument("--nmax", type=_positive_int, default=12,
                           help="largest weight to sweep (default 12)")
     p_verify.add_argument("--degrees-only", action="store_true",
                           help="only compare neighbor counts against the degree formula")
-    add_output(p_verify)
+    p_verify.add_argument("--output", **output)
     p_verify.set_defaults(handler=cmd_verify)
 
     return parser
@@ -278,12 +246,25 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command line and return its exit status.
+
+    The handler computes the whole output first.  Handlers do no I/O, so the
+    only `OSError` this can meet is from writing that output, to standard
+    output or to the `--output` file; it is reported as `error: ...` on
+    standard error with exit status 1.
+    """
     args = _parser().parse_args(argv)
+    text, status = args.handler(args)
     try:
-        return args.handler(args)
+        if args.output is None:
+            sys.stdout.write(text)
+        else:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return status
 
 
 if __name__ == "__main__":

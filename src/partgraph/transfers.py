@@ -161,13 +161,13 @@ def conjugate_delta(p: Partition, move: TransferMove) -> tuple[int, int]:
 def are_adjacent(p: Partition, q: Partition) -> bool:
     """Adjacency in the transfer graph, tested in conjugate coordinates.
 
-    Two distinct partitions of the same weight are adjacent exactly when the
-    difference of their conjugates is one cell out of one column and into
-    another: a single +1 and a single -1, zero elsewhere.  The two conjugates
-    are compared run by run, as step functions over the columns given by
-    their blocks, so the test costs O(t_p + t_q) steps.  The widths of the
-    runs where the difference is +1 and -1 are added up, and the test fails
-    as soon as a run differs by more than one or either total passes one.
+    Two partitions of the same weight are adjacent exactly when their
+    diagrams differ in two cells, one cell moved: the L1 distance of their
+    conjugates is 2.  Equal partitions are at distance 0, so no partition is
+    adjacent to itself.  The two conjugates are compared run by run, as step
+    functions over the columns given by their blocks, so the test costs
+    O(t_p + t_q) steps.  Each run adds its width times the difference of the
+    two columns to the distance, and the test fails as soon as that passes 2.
     Only the conjugates' blocks are read, so their parts are never expanded,
     and each partition's conjugate is built once and reused.
     """
@@ -175,26 +175,16 @@ def are_adjacent(p: Partition, q: Partition) -> bool:
         raise ValueError(
             f"partitions of different weights: {p} has {p.weight}, {q} has {q.weight}"
         )
-    if p == q:
-        return False
     end = max(p.blocks[0][0], q.blocks[0][0])
     # A zero run past the last column of each conjugate, wide enough to reach `end`.
     runs_p = conjugate(p).blocks + ((0, end),)
     runs_q = conjugate(q).blocks + ((0, end),)
     (vp, wp), (vq, wq) = runs_p[0], runs_q[0]
-    i = j = col = gained = lost = 0
+    i = j = col = moved = 0
     while col < end:
         width = min(wp, wq)
-        d = vq - vp
-        if d == 1:
-            gained += width
-            if gained > 1:
-                return False
-        elif d == -1:
-            lost += width
-            if lost > 1:
-                return False
-        elif d:
+        moved += abs(vq - vp) * width
+        if moved > 2:
             return False
         col += width
         wp -= width
@@ -205,4 +195,4 @@ def are_adjacent(p: Partition, q: Partition) -> bool:
         if not wq:
             j += 1
             vq, wq = runs_q[j]
-    return gained == 1 and lost == 1
+    return moved == 2

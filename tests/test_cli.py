@@ -6,9 +6,11 @@ import sys
 import threading
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+import partgraph.oracle
 from partgraph import cli
 from partgraph.cli import main
 
@@ -173,6 +175,67 @@ class TestVerifyCommand:
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text())["pass"] is True
+
+
+class TestSingleWritePath:
+    """Handlers return `(text, status)`; `main` alone writes, to stdout or `--output`."""
+
+    COMMANDS = [
+        ("cmd_partitions", ["partitions", "5"]),
+        ("cmd_local", ["local", "4,4,2,2", "--format", "json"]),
+        ("cmd_graph", ["graph", "5", "--format", "dot"]),
+        ("cmd_neighborhood", ["neighborhood", "3,2,1"]),
+        ("cmd_cliques", ["cliques", "4,4,2,2"]),
+        ("cmd_verify", ["verify", "--nmax", "3"]),
+    ]
+
+    @pytest.fixture
+    def failing_verify(self, monkeypatch):
+        formula = partgraph.oracle.local_clique_number
+        monkeypatch.setattr(partgraph.oracle, "local_clique_number", lambda T: formula(T) + 1)
+
+    def test_failing_verify_exits_1(self, capsys, failing_verify):
+        code, out, err = run_cli(capsys, "verify", "--nmax", "4")
+        assert code == 1
+        assert '"pass": false' in out
+        assert err == ""
+
+    def test_failing_verify_to_file_exits_1(self, capsys, tmp_path, failing_verify):
+        target = tmp_path / "report.json"
+        code, out, err = run_cli(capsys, "verify", "--nmax", "4", "--output", str(target))
+        assert (code, out, err) == (1, "", "")
+        report = json.loads(target.read_text(encoding="utf-8"))
+        assert report["pass"] is False
+        assert report["n_range"] == [1, 4]
+
+    @pytest.mark.parametrize("name, argv", COMMANDS, ids=[name for name, _ in COMMANDS])
+    def test_output_file_holds_the_stdout_bytes(self, capsys, monkeypatch, tmp_path, name, argv):
+        # A fixed clock, so that verify's timings_ms are the same in both runs.
+        monkeypatch.setattr(partgraph.oracle, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        target = tmp_path / "out.txt"
+        assert run_cli(capsys, *argv, "--output", str(target)) == (0, "", "")
+        assert target.read_bytes() == out.encode("utf-8")
+
+    @pytest.mark.parametrize("argv", [["verify", "--nmax", "3"], ["local", "4,4,2,2"]])
+    def test_unwritable_output_fails_cleanly(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--output", "/no/such/dir/out.txt")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("name, argv", COMMANDS, ids=[name for name, _ in COMMANDS])
+    def test_handlers_return_text_and_status_without_io(self, capsys, tmp_path, name, argv):
+        target = tmp_path / "out.txt"
+        args = cli.build_parser().parse_args([*argv, "--output", str(target)])
+        assert args.handler is getattr(cli, name)
+        result = getattr(cli, name)(args)
+        assert type(result) is tuple
+        text, status = result
+        assert type(text) is str and text
+        assert status == 0
+        assert capsys.readouterr() == ("", "")
+        assert not target.exists()
 
 
 def call(argv):

@@ -210,6 +210,17 @@ class TestAdjacency:
         with pytest.raises(ValueError):
             are_adjacent(make_partition([3]), make_partition([3, 1]))
 
+    @pytest.mark.parametrize("first, second", [
+        ([5], [3, 1, 1]),  # rows differ by +2/-1/-1: two cells moved
+        ([3, 3], [2, 2, 2]),  # rows differ by +1/+1/-2: two cells moved
+        ([453, 453, 303, 153, 152, 2], [453, 453, 303, 153, 152, 2]),  # no cell moved
+    ])
+    def test_not_one_cell_apart(self, first, second):
+        p, q = make_partition(first), make_partition(second)
+        assert not adjacent_by_cells(p.parts, q.parts)
+        assert not are_adjacent(p, q)
+        assert not are_adjacent(q, p)
+
     @settings(deadline=None)
     @given(st.integers(2, 10), st.data())
     def test_symmetric_conjugate_dual_and_matches_cell_moves(self, n, data):
