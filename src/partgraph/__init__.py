@@ -34,6 +34,7 @@ from .local_model import (
 from .oracle import (
     CheckResult,
     VerificationReport,
+    observe,
     run_all,
     verify_cliques,
     verify_degrees,
@@ -96,6 +97,7 @@ __all__ = [
     "local_type",
     "make_partition",
     "neighbors",
+    "observe",
     "parse_move",
     "parse_partition",
     "removable_corner_columns",

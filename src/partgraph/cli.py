@@ -32,7 +32,7 @@ from .graphs import (
     build_partition_graph,
     classify_clique,
     cliques_through,
-    line_graph,
+    induced_neighborhood,
     verify_line_graph_theorem,
 )
 from .local_model import (
@@ -45,6 +45,7 @@ from .local_model import (
 )
 from .oracle import run_all
 from .partitions import Partition, enumerate_partitions, parse_digits, parse_partition
+from .transfers import neighbors
 
 
 def _partition_argument(text: str) -> Partition:
@@ -125,8 +126,7 @@ def cmd_neighborhood(args: argparse.Namespace) -> tuple[str, int]:
     p = args.partition
     n = p.weight
     check = verify_line_graph_theorem(n, p)
-    observed = check.neighborhood
-    predicted = line_graph(admissibility_graph(local_type(p)))
+    observed, predicted = check.neighborhood, check.corners
     if args.format == "json":
         return _json({
             "partition": list(p.parts),
@@ -170,7 +170,7 @@ def cmd_neighborhood(args: argparse.Namespace) -> tuple[str, int]:
 
 def cmd_cliques(args: argparse.Namespace) -> tuple[str, int]:
     p = args.partition
-    found = cliques_through(p.weight, p)
+    found = cliques_through(induced_neighborhood(neighbors(p)))
     classified = [(clique, classify_clique(clique)) for clique in found]
     if args.format == "json":
         return _json({

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
-from typing import Any, Callable, Iterable, Iterator
+from itertools import accumulate, combinations
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from .local_model import AdmissibilityGraph
-from .partitions import Partition, enumerate_partitions
+from .partitions import Partition, conjugate, enumerate_partitions
 from .transfers import TransferMove, are_adjacent, neighbors
 
 
@@ -103,23 +103,42 @@ def _share_corner(first: TransferMove, second: TransferMove) -> bool:
 
 def build_partition_graph(n: int) -> SimpleGraph:
     """The graph on all partitions of n, joined when a single cell transfer
-    maps one to the other."""
-    return _relation_graph(enumerate_partitions(n), are_adjacent)
+    maps one to the other.
+
+    Built from an index of the conjugates' rows, with no pair test and no
+    `neighbors`: conjugation is a graph automorphism, so the neighbors of p
+    are the partitions whose conjugates arise from conjugate(p) by moving one
+    cell from the last row of a run to the first row of a run or to a new
+    row.  The two moves that give no new partition either give conjugate(p)
+    back or rows out of order, which the index does not hold.  Each vertex
+    costs one lookup per pair of runs.
+    """
+    labels = enumerate_partitions(n)
+    index = {conjugate(p).parts: a for a, p in enumerate(labels)}
+    edges = []
+    for rows, a in index.items():
+        padded = [*rows, 0]
+        ends = list(accumulate(mult for _, mult in conjugate(labels[a]).blocks))
+        for end in ends:
+            for first in (0, *ends):
+                moved = padded.copy()
+                moved[end - 1] -= 1
+                moved[first] += 1
+                b = index.get(tuple(filter(None, moved)))
+                if b is not None and b > a:
+                    edges.append((a, b))
+    return SimpleGraph(tuple(labels), frozenset(edges))
 
 
-def _observe_neighborhood(n: int, p: Partition) -> tuple[tuple[Partition, ...], SimpleGraph]:
-    """The neighbors of p in sorted move order and the graph they induce on the moves."""
-    if p.weight != n:
-        raise ValueError(f"{p} has weight {p.weight}, not {n}")
-    nbrs = neighbors(p)
-    targets = tuple(nbrs.values())
-    induced = _relation_graph(targets, are_adjacent)
-    return targets, SimpleGraph(tuple(nbrs), induced.edges)
+def induced_neighborhood(nbrs: Mapping[TransferMove, Partition]) -> SimpleGraph:
+    """The graph the targets of the moves induce, labeled by the moves in sorted order.
 
-
-def induced_neighborhood(n: int, p: Partition) -> SimpleGraph:
-    """The subgraph induced on the neighbors of p, labeled by the moves reaching them."""
-    return _observe_neighborhood(n, p)[1]
+    Adjacency comes from `are_adjacent` on every pair of targets, so targets
+    of different weights are rejected.
+    """
+    moves = sorted(nbrs)
+    induced = _relation_graph((nbrs[move] for move in moves), are_adjacent)
+    return SimpleGraph(tuple(moves), induced.edges)
 
 
 def line_graph(B: AdmissibilityGraph) -> SimpleGraph:
@@ -139,9 +158,13 @@ class PairCheck:
 
 @dataclass(frozen=True)
 class NeighborhoodCheck:
+    """The observed neighborhood of a partition next to the corner-sharing graph
+    of its moves, which is the line graph of the moves' bipartite graph."""
+
     partition: Partition
     neighborhood: SimpleGraph
     targets: tuple[Partition, ...]
+    corners: SimpleGraph
     violations: tuple[PairCheck, ...]
 
     @property
@@ -167,16 +190,20 @@ def verify_line_graph_theorem(n: int, p: Partition) -> NeighborhoodCheck:
 
     The two sides are computed independently: adjacency comes from the
     induced neighborhood, which applies the conjugate-coordinate test to the
-    actual neighbor partitions; corner sharing looks only at the move labels.
+    actual neighbor partitions; corner sharing looks only at the move labels,
+    through the line graph of the bipartite graph the moves form.
     """
-    targets, observed = _observe_neighborhood(n, p)
+    if p.weight != n:
+        raise ValueError(f"{p} has weight {p.weight}, not {n}")
+    nbrs = neighbors(p)
+    observed = induced_neighborhood(nbrs)
     moves = observed.labels
-    corners = _relation_graph(moves, _share_corner)
+    corners = line_graph(AdmissibilityGraph(p.support_size, frozenset(moves)))
     violations = tuple(
         PairCheck(moves[a], moves[b], (a, b) in observed.edges, (a, b) in corners.edges)
         for a, b in sorted(observed.edges ^ corners.edges)
     )
-    return NeighborhoodCheck(p, observed, targets, violations)
+    return NeighborhoodCheck(p, observed, tuple(map(nbrs.get, moves)), corners, violations)
 
 
 def _maximal_cliques(graph: SimpleGraph) -> Iterator[frozenset[int]]:
@@ -198,13 +225,13 @@ def _maximal_cliques(graph: SimpleGraph) -> Iterator[frozenset[int]]:
     yield from expand(set(), set(range(graph.vertex_count)), set())
 
 
-def cliques_through(n: int, p: Partition) -> list[tuple[TransferMove, ...]]:
-    """All maximal cliques of the neighborhood of p, as sorted move tuples.
+def cliques_through(graph: SimpleGraph) -> list[tuple[TransferMove, ...]]:
+    """All maximal cliques of a partition's induced neighborhood, as sorted move tuples.
 
-    Adjoining p itself to any of them gives a maximal clique of the full
-    transfer graph through p.  An isolated partition yields the empty list.
+    Adjoining the partition itself to any of them gives a maximal clique of
+    the full transfer graph through it.  An isolated partition, whose
+    neighborhood is empty, yields the empty list.
     """
-    graph = induced_neighborhood(n, p)
     found = [
         tuple(graph.labels[v] for v in sorted(clique))
         for clique in _maximal_cliques(graph)

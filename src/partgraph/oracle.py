@@ -1,10 +1,34 @@
 """Exhaustive cross-checking of every closed form against brute force.
 
-Each verifier sweeps all partitions of a weight.  degrees compares distinct
-neighbors, the formula and the degree in the built graph; neighborhoods, the
-conjugate test on actual neighbors against corner sharing of the move labels;
-cliques, Bron-Kerbosch search against the closed form, plus the classification;
-type_determinacy, its own adjacency and clique search against the type model.
+A full sweep observes each partition once (`observe`).  It builds G_n once
+per weight, from the conjugate index, and for every partition it generates
+the moves and their targets, tests every pair of targets for adjacency, lays
+corner sharing of the move labels next to that (`verify_line_graph_theorem`)
+and searches the induced neighborhood for maximal cliques.  `run_all` hands
+each observation to the four checks before it makes the next one, so a sweep
+holds one partition's observation at a time.  Each check reads it against a
+prediction of its own:
+
+- degrees: distinct targets, the degree formula and the degree in G_n;
+- neighborhoods: adjacency of the targets against corner sharing, and every
+  target adjacent to its partition;
+- cliques: the largest clique found against the closed-form clique number,
+  plus the classification of every clique found;
+- type_determinacy: moves, adjacency, degree and clique number against the
+  model of the partition's local type, built once per type.
+
+Only the brute-force observation is shared, never a prediction.  Sharing it
+removes no independent route: the checks used to observe each partition on
+their own, but through the same `neighbors` and `are_adjacent` code.  G_n is
+built without either, so the degree in G_n stays a route of its own.  With
+`--degrees-only`, `verify_degrees(n)` generates the neighbors itself and
+nothing is observed.
+
+In the report, each check's time includes the part of the observation named
+after it: the graph build for degrees, `verify_line_graph_theorem` for
+neighborhoods and the clique search for cliques.  type_determinacy's time is
+its own.
+
 Each failure records the partition, both values and a `replay` CLI command.
 """
 
@@ -12,11 +36,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Iterable, Iterator
 
 from .graphs import (
     CliqueClassificationError,
-    _maximal_cliques,
-    _relation_graph,
+    NeighborhoodCheck,
     build_partition_graph,
     classify_clique,
     cliques_through,
@@ -32,7 +56,7 @@ from .local_model import (
     local_type,
 )
 from .partitions import Partition, enumerate_partitions
-from .transfers import are_adjacent, neighbors
+from .transfers import TransferMove, are_adjacent, neighbors
 
 
 @dataclass
@@ -71,6 +95,9 @@ class VerificationReport:
         }
 
 
+CHECKS = ("degrees", "neighborhoods", "cliques", "type_determinacy")
+
+
 def _failure(check: str, n: int, p: Partition, detail: str, degrees_only: bool = False) -> dict:
     if check == "neighborhoods":
         replay = f"partgraph neighborhood {p}"
@@ -81,50 +108,105 @@ def _failure(check: str, n: int, p: Partition, detail: str, degrees_only: bool =
     return {"check": check, "n": n, "partition": str(p), "detail": detail, "replay": replay}
 
 
-def verify_degrees(n: int, with_graph: bool = True) -> CheckResult:
-    """Three-way degree check over all partitions of n.
+@dataclass(frozen=True)
+class Observation:
+    """One partition of weight n as brute force sees it, made once for all four checks.
 
-    Compares the count of distinct neighbors, the closed formula, and, unless
-    with_graph is false, the vertex degree in the fully built transfer graph.
+    `neighborhood` holds its moves, their targets and the graph the targets
+    induce, next to corner sharing; `cliques` are that graph's maximal
+    cliques; `graph_degree` is its degree in G_n.  `ms` is the time the
+    observation took, in milliseconds, keyed by the check it is charged to.
+    """
+
+    neighborhood: NeighborhoodCheck
+    cliques: list[tuple[TransferMove, ...]]
+    graph_degree: int
+    ms: dict[str, float]
+
+    @property
+    def partition(self) -> Partition:
+        return self.neighborhood.partition
+
+
+def observe(n: int) -> Iterator[Observation]:
+    """Observe each partition of n once, in enumeration order.
+
+    G_n is built before the first observation, which is charged its time.
+    Observations are made one at a time, so a sweep holds one partition's
+    neighborhood at once, however many partitions the weight has.
+    """
+    start = time.perf_counter()
+    graph = build_partition_graph(n)
+    build_ms = (time.perf_counter() - start) * 1000
+    for idx, p in enumerate(graph.labels):
+        start = time.perf_counter()
+        check = verify_line_graph_theorem(n, p)
+        compared = time.perf_counter()
+        cliques = cliques_through(check.neighborhood)
+        ms = {"degrees": build_ms, "neighborhoods": (compared - start) * 1000,
+              "cliques": (time.perf_counter() - compared) * 1000}
+        yield Observation(check, cliques, graph.degree(idx), ms)
+        build_ms = 0.0
+
+
+def verify_degrees(n: int, observed: Iterable[Observation] | None = None) -> CheckResult:
+    """Degree check over all partitions of n.
+
+    Compares the count of distinct neighbors with the closed formula and,
+    given the partitions' observations, with their degree in G_n.  Without
+    them, as under `verify --degrees-only`, it generates the neighbors itself
+    and builds no graph.
     """
     start = time.perf_counter()
     failures: list[dict] = []
-    graph = build_partition_graph(n) if with_graph else None
-    vertices = graph.labels if graph is not None else enumerate_partitions(n)
-    for idx, p in enumerate(vertices):
+    if observed is None:
+        seen = ((p, neighbors(p).values(), None) for p in enumerate_partitions(n))
+    else:
+        seen = ((o.partition, o.neighborhood.targets, o.graph_degree) for o in observed)
+    examined = 0
+    for examined, (p, targets, graph_degree) in enumerate(seen, 1):
         values = {
-            "neighbor_count": len(set(neighbors(p).values()) - {p}),
+            "neighbor_count": len(set(targets) - {p}),
             "formula": degree_formula(local_type(p)),
         }
-        if graph is not None:
-            values["graph_degree"] = graph.degree(idx)
+        if graph_degree is not None:
+            values["graph_degree"] = graph_degree
         if len(set(values.values())) != 1:
             failures.append(_failure(
-                "degrees", n, p, f"degree mismatch: {values}", degrees_only=not with_graph,
+                "degrees", n, p, f"degree mismatch: {values}", degrees_only=observed is None,
             ))
     ms = (time.perf_counter() - start) * 1000
-    return CheckResult("degrees", len(vertices), failures, ms)
+    return CheckResult("degrees", examined, failures, ms)
 
 
-def verify_neighborhoods(n: int) -> CheckResult:
-    """Pairwise neighborhood-adjacency check over all partitions of n."""
+def verify_neighborhoods(observed: Iterable[Observation]) -> CheckResult:
+    """Neighborhood check over observed partitions.
+
+    Every pair of targets must be adjacent exactly when their moves share a
+    corner, and every target must be adjacent to its partition.
+    """
     start = time.perf_counter()
     failures: list[dict] = []
-    vertices = enumerate_partitions(n)
-    for p in vertices:
-        result = verify_line_graph_theorem(n, p)
-        for v in result.violations:
+    examined = 0
+    for examined, o in enumerate(observed, 1):
+        check, p = o.neighborhood, o.partition
+        for v in check.violations:
             failures.append(_failure(
-                "neighborhoods", n, p,
+                "neighborhoods", p.weight, p,
                 f"pair {v.first}/{v.second}: adjacent_in_graph={v.adjacent_in_graph}, "
                 f"share_corner={v.share_corner}",
             ))
+        for move, target in zip(check.moves, check.targets):
+            if not are_adjacent(p, target):
+                failures.append(_failure(
+                    "neighborhoods", p.weight, p, f"move {move}: target {target} is not adjacent",
+                ))
     ms = (time.perf_counter() - start) * 1000
-    return CheckResult("neighborhoods", len(vertices), failures, ms)
+    return CheckResult("neighborhoods", examined, failures, ms)
 
 
-def verify_cliques(n: int) -> CheckResult:
-    """Clique check over all partitions of n.
+def verify_cliques(observed: Iterable[Observation]) -> CheckResult:
+    """Clique check over observed partitions.
 
     Every maximal clique found by search must classify by a shared corner,
     and one plus the largest clique size must match the closed-form clique
@@ -132,9 +214,9 @@ def verify_cliques(n: int) -> CheckResult:
     """
     start = time.perf_counter()
     failures: list[dict] = []
-    vertices = enumerate_partitions(n)
-    for p in vertices:
-        cliques = cliques_through(n, p)
+    examined = 0
+    for examined, o in enumerate(observed, 1):
+        p, cliques, n = o.partition, o.cliques, o.partition.weight
         for clique in cliques:
             try:
                 classify_clique(clique)
@@ -157,21 +239,19 @@ def verify_cliques(n: int) -> CheckResult:
                 f"dimension mismatch: {local_dimension(T)} vs clique number {formula}",
             ))
     ms = (time.perf_counter() - start) * 1000
-    return CheckResult("cliques", len(vertices), failures, ms)
+    return CheckResult("cliques", examined, failures, ms)
 
 
-def _local_signature(p: Partition) -> dict:
-    # Recomputed from the concrete partition, observed once: moves via the
-    # admissibility test, adjacency via conjugates of the actual neighbors and
-    # clique number via search on that graph.  Nothing reads the type-level
-    # closed forms, and no other check's neighborhood is reused.
-    nbrs = neighbors(p)
-    moves = tuple(nbrs)
-    graph = _relation_graph(nbrs.values(), are_adjacent)
-    omega = 1 + max((len(clique) for clique in _maximal_cliques(graph)), default=0)
+def _local_signature(check: NeighborhoodCheck, cliques: list[tuple[TransferMove, ...]]) -> dict:
+    # Read off the observation of the concrete partition: moves from the
+    # admissibility test, adjacency from conjugates of the actual neighbors,
+    # clique number from search on that graph.  Nothing reads the type-level
+    # closed forms or another check's prediction.
+    moves = check.moves
+    omega = 1 + max(map(len, cliques), default=0)
     return {
         "moves": moves,
-        "adjacency": tuple((moves[a], moves[b]) for a, b in graph.sorted_edges()),
+        "adjacency": tuple((moves[a], moves[b]) for a, b in check.neighborhood.sorted_edges()),
         "degree": len(moves),
         "clique_number": omega,
         "dimension": omega - 1,
@@ -190,62 +270,71 @@ def _type_prediction(T: LocalType) -> dict:
     }
 
 
-def verify_type_determinacy(n_max: int) -> CheckResult:
+def verify_type_determinacy(
+    observed: Iterable[Observation], predictions: dict | None = None,
+) -> CheckResult:
     """Partitions of equal local type must expose identical local data.
 
-    Sweeps every partition of every weight up to n_max and checks each one
-    against what its type alone predicts, so by transitivity all partitions
-    of a type agree with each other, across different weights.
+    Checks each observed partition, of any weight, against what its type
+    alone predicts, so by transitivity all partitions of a type agree with
+    each other, across weights.  `predictions` keeps the model of each type
+    seen; `run_all` passes one dict to every call.
     """
     start = time.perf_counter()
     failures: list[dict] = []
-    predictions: dict[LocalType, dict] = {}
+    predictions = {} if predictions is None else predictions
     examined = 0
-    for n in range(1, n_max + 1):
-        for p in enumerate_partitions(n):
-            examined += 1
-            signature = _local_signature(p)
-            T = local_type(p)
-            if T not in predictions:
-                predictions[T] = _type_prediction(T)
-            predicted = predictions[T]
-            for key in signature:
-                if signature[key] != predicted[key]:
-                    failures.append(_failure(
-                        "type_determinacy", n, p,
-                        f"{key} disagrees with the type model: "
-                        f"{signature[key]!r} vs {predicted[key]!r}",
-                    ))
+    for examined, o in enumerate(observed, 1):
+        p = o.partition
+        signature = _local_signature(o.neighborhood, o.cliques)
+        T = local_type(p)
+        if T not in predictions:
+            predictions[T] = _type_prediction(T)
+        predicted = predictions[T]
+        for key in signature:
+            if signature[key] != predicted[key]:
+                failures.append(_failure(
+                    "type_determinacy", p.weight, p,
+                    f"{key} disagrees with the type model: "
+                    f"{signature[key]!r} vs {predicted[key]!r}",
+                ))
     ms = (time.perf_counter() - start) * 1000
     return CheckResult("type_determinacy", examined, failures, ms)
+
+
+def _add(total: CheckResult, part: CheckResult, observing_ms: float = 0.0) -> None:
+    total.examined += part.examined
+    total.failures += part.failures
+    total.ms += part.ms + observing_ms
 
 
 def run_all(n_max: int, degrees_only: bool = False) -> VerificationReport:
     """Run every verifier for all weights 1..n_max and aggregate one report.
 
-    With degrees_only, only the neighbor-count versus formula comparison runs
-    (no graph build, no pair checks); that mode stays cheap at weights where
-    the full sweep would not.
+    The full sweep observes each partition once and runs the four checks on
+    that observation before making the next.  With degrees_only, only the
+    neighbor-count versus formula comparison runs (no graph build, no pair
+    checks); that mode stays cheap at weights where the full sweep would not.
     """
     if n_max < 1:
         raise ValueError(f"weight bound must be at least one, got {n_max}")
-
-    def swept(name: str, fn) -> CheckResult:
-        merged = CheckResult(name, 0)
-        for n in range(1, n_max + 1):
-            part = fn(n)
-            merged.examined += part.examined
-            merged.failures.extend(part.failures)
-            merged.ms += part.ms
-        return merged
-
+    weights = range(1, n_max + 1)
     if degrees_only:
-        checks = [swept("degrees", lambda n: verify_degrees(n, with_graph=False))]
-    else:
-        checks = [
-            swept("degrees", verify_degrees),
-            swept("neighborhoods", verify_neighborhoods),
-            swept("cliques", verify_cliques),
-            verify_type_determinacy(n_max),
-        ]
-    return VerificationReport((1, n_max), checks)
+        total = CheckResult("degrees", 0)
+        for n in weights:
+            _add(total, verify_degrees(n))
+        return VerificationReport((1, n_max), [total])
+    totals = [CheckResult(name, 0) for name in CHECKS]
+    predictions: dict[LocalType, dict] = {}
+    for n in weights:
+        for o in observe(n):
+            one = (o,)
+            parts = (
+                verify_degrees(n, one),
+                verify_neighborhoods(one),
+                verify_cliques(one),
+                verify_type_determinacy(one, predictions),
+            )
+            for total, part in zip(totals, parts):
+                _add(total, part, o.ms.get(total.name, 0.0))
+    return VerificationReport((1, n_max), totals)

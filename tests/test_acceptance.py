@@ -13,6 +13,7 @@ from partgraph import (
     degree_formula,
     enumerate_partitions,
     local_type,
+    observe,
     verify_cliques,
     verify_degrees,
     verify_neighborhoods,
@@ -67,7 +68,7 @@ def test_criterion_2_degree_agreement_to_weight_fourteen():
     start = time.perf_counter()
     problems = []
     for n in range(1, 15):
-        result = verify_degrees(n)
+        result = verify_degrees(n, observe(n))
         problems.extend(result.failures)
     elapsed = time.perf_counter() - start
     if elapsed >= 30:
@@ -79,7 +80,7 @@ def test_criterion_3_neighborhood_adjacency_to_weight_twelve():
     start = time.perf_counter()
     problems = []
     for n in range(1, 13):
-        problems.extend(verify_neighborhoods(n).failures)
+        problems.extend(verify_neighborhoods(observe(n)).failures)
     elapsed = time.perf_counter() - start
     if elapsed >= 60:
         problems.append(f"took {elapsed:.1f}s, budget 60s")
@@ -90,7 +91,7 @@ def test_criterion_4_clique_structure_to_weight_twelve():
     start = time.perf_counter()
     problems = []
     for n in range(1, 13):
-        problems.extend(verify_cliques(n).failures)
+        problems.extend(verify_cliques(observe(n)).failures)
     elapsed = time.perf_counter() - start
     if elapsed >= 60:
         problems.append(f"took {elapsed:.1f}s, budget 60s")
@@ -98,8 +99,11 @@ def test_criterion_4_clique_structure_to_weight_twelve():
 
 
 def test_criterion_5_type_determinacy_to_weight_twelve():
-    report(5, "equal local types give equal local data up to weight 12",
-           verify_type_determinacy(12).failures)
+    predictions = {}
+    problems = []
+    for n in range(1, 13):
+        problems.extend(verify_type_determinacy(observe(n), predictions).failures)
+    report(5, "equal local types give equal local data up to weight 12", problems)
 
 
 def test_criterion_6_structural_sanity():

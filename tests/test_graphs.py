@@ -10,6 +10,7 @@ from partgraph import (
     SimpleGraph,
     TransferMove,
     admissibility_graph,
+    are_adjacent,
     build_partition_graph,
     classify_clique,
     cliques_through,
@@ -23,9 +24,9 @@ from partgraph import (
     parse_move,
     verify_line_graph_theorem,
 )
-from partgraph.graphs import _maximal_cliques
+from partgraph.graphs import _maximal_cliques, _relation_graph
 
-from oracles import naive_maximal_cliques
+from oracles import adjacent_by_cells, naive_maximal_cliques, partition_count
 
 
 @st.composite
@@ -97,6 +98,24 @@ class TestPartitionGraph:
         with pytest.raises(ValueError):
             build_partition_graph(0)
 
+    def test_index_build_matches_pairwise_cell_test_to_twelve(self):
+        for n in range(1, 13):
+            g = build_partition_graph(n)
+            pairs = combinations(enumerate(p.parts for p in g.labels), 2)
+            pairwise = {(a, b) for (a, x), (b, y) in pairs if adjacent_by_cells(x, y)}
+            assert len(g.labels) == partition_count(n)
+            assert g.edges == pairwise, n
+
+    def test_index_build_matches_pairwise_adjacency_to_fourteen(self):
+        # The pairwise build it replaced; equal graphs print the same bytes.
+        for n in range(1, 15):
+            g = build_partition_graph(n)
+            assert g == _relation_graph(enumerate_partitions(n), are_adjacent), n
+
+    @pytest.mark.parametrize("n, edges", [(14, 525), (16, 1033), (18, 1948), (20, 3545)])
+    def test_edge_counts(self, n, edges):
+        assert build_partition_graph(n).edge_count == edges
+
     def test_handshake_and_degree_formula_up_to_nine(self):
         for n in range(1, 10):
             g = build_partition_graph(n)
@@ -107,23 +126,25 @@ class TestPartitionGraph:
 
 class TestInducedNeighborhood:
     def test_two_neighbors_joined(self):
-        g = induced_neighborhood(4, make_partition([2, 2]))
+        g = induced_neighborhood(neighbors(make_partition([2, 2])))
         assert g.labels == (TransferMove(1, 1), TransferMove(1, 2))
         assert g.sorted_edges() == [(0, 1)]
 
     def test_single_neighbor(self):
-        g = induced_neighborhood(9, make_partition([9]))
+        g = induced_neighborhood(neighbors(make_partition([9])))
         assert g.labels == (TransferMove(1, 2),)
         assert g.edge_count == 0
 
     def test_two_fat_blocks(self):
-        g = induced_neighborhood(12, make_partition([4, 4, 2, 2]))
+        g = induced_neighborhood(neighbors(make_partition([4, 4, 2, 2])))
         assert g.vertex_count == 6
         assert g.edge_count == 9
 
     def test_weight_mismatch_rejected(self):
+        # Targets of weights 4 and 6: the pair test refuses them.
+        mixed = {TransferMove(1, 1): make_partition([3, 1]), TransferMove(1, 2): make_partition([3, 3])}
         with pytest.raises(ValueError):
-            induced_neighborhood(5, make_partition([2, 2]))
+            induced_neighborhood(mixed)
 
 
 class TestLineGraph:
@@ -145,7 +166,7 @@ class TestLineGraph:
     def test_neighborhood_equals_line_graph_on_labels(self):
         for n in range(1, 9):
             for p in enumerate_partitions(n):
-                observed = induced_neighborhood(n, p)
+                observed = induced_neighborhood(neighbors(p))
                 predicted = line_graph(admissibility_graph(local_type(p)))
                 assert observed.labels == predicted.labels
                 assert observed.edges == predicted.edges
@@ -168,7 +189,8 @@ class TestLineGraphTheoremCheck:
         for p in enumerate_partitions(8):
             check = verify_line_graph_theorem(8, p)
             assert check.verified
-            assert check.neighborhood == induced_neighborhood(8, p)
+            assert check.neighborhood == induced_neighborhood(neighbors(p))
+            assert check.corners == line_graph(admissibility_graph(local_type(p)))
             assert check.moves == check.neighborhood.labels
             assert check.targets == tuple(neighbors(p)[m] for m in check.moves)
 
@@ -205,20 +227,24 @@ class TestMaximalCliques:
         assert list(_maximal_cliques(g)) == list(_maximal_cliques(g))
 
 
+def neighborhood_of(parts):
+    return induced_neighborhood(neighbors(make_partition(parts)))
+
+
 class TestCliquesThrough:
     def test_one_clique_covering_both_moves(self):
-        assert cliques_through(4, make_partition([2, 2])) == [
+        assert cliques_through(neighborhood_of([2, 2])) == [
             (TransferMove(1, 1), TransferMove(1, 2)),
         ]
 
     def test_singleton_clique(self):
-        assert cliques_through(9, make_partition([9])) == [(TransferMove(1, 2),)]
+        assert cliques_through(neighborhood_of([9])) == [(TransferMove(1, 2),)]
 
     def test_isolated_partition_has_none(self):
-        assert cliques_through(1, make_partition([1])) == []
+        assert cliques_through(neighborhood_of([1])) == []
 
     def test_two_fat_blocks(self):
-        found = cliques_through(12, make_partition([4, 4, 2, 2]))
+        found = cliques_through(neighborhood_of([4, 4, 2, 2]))
         assert found == [
             (TransferMove(1, 1), TransferMove(1, 2), TransferMove(1, 3)),
             (TransferMove(1, 1), TransferMove(2, 1)),

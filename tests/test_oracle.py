@@ -9,9 +9,11 @@ from partgraph import (
     CheckResult,
     TransferMove,
     VerificationReport,
+    build_partition_graph,
     enumerate_partitions,
     local_type,
     make_partition,
+    observe,
     run_all,
     verify_cliques,
     verify_degrees,
@@ -27,29 +29,33 @@ def total_partitions(n_max):
     return sum(partition_count(n) for n in range(1, n_max + 1))
 
 
+def observe_up_to(n_max):
+    return [o for n in range(1, n_max + 1) for o in observe(n)]
+
+
 class TestSingleWeightVerifiers:
     def test_degrees_weight_twelve(self):
-        result = verify_degrees(12)
+        result = verify_degrees(12, observe(12))
         assert result.name == "degrees"
         assert result.examined == 77
         assert result.passed
         assert result.ms >= 0
 
     def test_degrees_without_graph(self):
-        assert verify_degrees(9, with_graph=False).passed
+        assert verify_degrees(9).passed
 
     def test_neighborhoods_weight_eight(self):
-        result = verify_neighborhoods(8)
+        result = verify_neighborhoods(observe(8))
         assert result.examined == 22
         assert result.passed
 
     def test_cliques_weight_eight(self):
-        result = verify_cliques(8)
+        result = verify_cliques(observe(8))
         assert result.examined == 22
         assert result.passed
 
     def test_type_determinacy_weight_eight(self):
-        result = verify_type_determinacy(8)
+        result = verify_type_determinacy(observe_up_to(8))
         assert result.examined == total_partitions(8)
         assert result.passed
 
@@ -67,7 +73,7 @@ class TestTypeDeterminacyFailures:
             return predicted
 
         monkeypatch.setattr(partgraph.oracle, "_type_prediction", wrong_degree)
-        result = verify_type_determinacy(8)
+        result = verify_type_determinacy(observe_up_to(8))
         flagged = {(f["n"], f["partition"]) for f in result.failures}
         expected = {
             (n, str(p))
@@ -94,8 +100,8 @@ class TestFailureDetails:
             return apply(p, TransferMove(1, 1) if p == collided else move)
 
         monkeypatch.setattr(partgraph.transfers, "apply_transfer", collide)
-        without_graph = verify_degrees(8, with_graph=False)
-        with_graph = verify_degrees(8)
+        without_graph = verify_degrees(8)
+        with_graph = verify_degrees(8, observe(8))
         assert [(f["partition"], f["detail"]) for f in without_graph.failures] == [
             ("4,4", "degree mismatch: {'neighbor_count': 1, 'formula': 2}"),
         ]
@@ -122,7 +128,7 @@ class TestFailureDetails:
     ])
     def test_neighborhood_pair_detail(self, monkeypatch, capsys, adjacent, flagged):
         monkeypatch.setattr(partgraph.graphs, "are_adjacent", adjacent)
-        result = verify_neighborhoods(4)
+        result = verify_neighborhoods(observe(4))
         assert [(f["partition"], f["detail"]) for f in result.failures] == flagged
         assert all(f["check"] == "neighborhoods" and f["n"] == 4 for f in result.failures)
         assert [f["replay"] for f in result.failures] == [
@@ -135,7 +141,7 @@ class TestFailureDetails:
     def test_clique_number_mismatch_detail(self, monkeypatch):
         formula = partgraph.oracle.local_clique_number
         monkeypatch.setattr(partgraph.oracle, "local_clique_number", lambda T: formula(T) + 1)
-        result = verify_cliques(4)
+        result = verify_cliques(observe(4))
         expected = []
         for partition, searched in [("4", 2), ("3,1", 3), ("2,2", 3), ("2,1,1", 3), ("1,1,1,1", 2)]:
             expected += [
@@ -147,7 +153,23 @@ class TestFailureDetails:
             f"partgraph cliques {partition}" for partition, _ in expected
         ]
 
-    def test_type_determinacy_observes_each_partition_once(self, monkeypatch):
+    def test_target_not_adjacent_to_its_partition(self, monkeypatch):
+        # Send the move 1->2 of 2,2 back to 2,2 itself: its pairs still agree
+        # with corner sharing, so only the target check can see it.
+        apply = partgraph.transfers.apply_transfer
+        broken = make_partition([2, 2])
+
+        def back_home(p, move):
+            return p if (p, move) == (broken, (1, 2)) else apply(p, move)
+
+        monkeypatch.setattr(partgraph.transfers, "apply_transfer", back_home)
+        result = verify_neighborhoods(observe(4))
+        assert [(f["partition"], f["detail"], f["replay"]) for f in result.failures] == [
+            ("2,2", "move 1->2: target 2,2 is not adjacent", "partgraph neighborhood 2,2"),
+        ]
+
+    @staticmethod
+    def count_calls(monkeypatch, modules, names):
         calls = Counter()
 
         def counted(name, fn):
@@ -156,12 +178,38 @@ class TestFailureDetails:
                 return fn(*args)
             return wrapper
 
-        for module in (partgraph.oracle, partgraph.graphs):
-            for name in ("are_adjacent", "neighbors"):
-                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-        assert verify_type_determinacy(8).passed
+        for module in modules:
+            for name in names:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        return calls
+
+    def test_type_determinacy_observes_each_partition_once(self, monkeypatch):
+        modules = (partgraph.oracle, partgraph.graphs)
+        calls = self.count_calls(monkeypatch, modules, ("are_adjacent", "neighbors"))
+        observed = observe_up_to(8)
         # 66 partitions of weight <= 8, and 363 = sum of C(degree, 2) over them.
         assert calls == {"are_adjacent": 363, "neighbors": 66}
+        calls.clear()
+        assert verify_type_determinacy(observed).passed
+        assert calls == {}
+
+    def test_run_all_observes_each_partition_once(self, monkeypatch):
+        modules = (partgraph.oracle, partgraph.graphs, partgraph.transfers)
+        names = ("are_adjacent", "neighbors", "apply_transfer", "induced_neighborhood")
+        calls = self.count_calls(monkeypatch, modules, names)
+        assert run_all(8).passed
+        # One neighbors call and one induced neighborhood per partition; 363
+        # neighbor-pair tests plus one test per move's target, 218 = the sum
+        # of the degrees; apply_transfer once per move.
+        assert calls == {
+            "neighbors": 66, "induced_neighborhood": 66,
+            "are_adjacent": 363 + 218, "apply_transfer": 218,
+        }
+        calls.clear()
+        for n in range(1, 9):
+            build_partition_graph(n)
+        assert calls == {}
 
 
 class TestRunAll:

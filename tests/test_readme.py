@@ -69,7 +69,7 @@ def test_library_snippet_states_what_the_program_returns():
         "admissibility_graph(local_type(p)).sorted_edges() == list(neighbors(p))",
         "degree_formula(local_type(p))",
         "local_clique_number(local_type(p))",
-        "[classify_clique(c).kind for c in cliques_through(12, p)]",
+        "[classify_clique(c).kind for c in cliques_through(induced_neighborhood(neighbors(p)))]",
         "run_all(12).passed",
     ]
     for expression, value in stated:
