@@ -12,6 +12,16 @@ Each `cmd_*` handler maps the parsed arguments to `(text, exit_status)` and
 does no I/O; `main` alone writes that text, to standard output or to the
 `--output` file.
 
+Every JSON output, the `--format json` forms and the verify report, is the
+exact text the standard library's `json` module gives for
+`dumps(payload, indent=2)`: two spaces per level, ASCII only, other
+characters as `\\u` escapes, then a newline.  `_json` writes it.  With an
+indent the standard library runs its pure-Python encoder, one generator
+step per token.  `_json` maps each run of scalars of one type through the C
+string or int encoder and joins it once, and fills sibling containers of
+one shape (edges, moves, clique entries) into one shared `str.format`
+template, so most items cost no Python-level call.
+
 `main` parses with one parser per process.  It is built by the first `main`
 call, not at import, and only read afterwards: `parse_args` keeps no state
 between calls, so in-process callers (tests, benchmarks, library users, any
@@ -24,9 +34,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
-from typing import Sequence
+from itertools import chain, starmap
+from json.encoder import encode_basestring_ascii
+from typing import Collection, Iterable, Sequence
 
 from .graphs import (
     build_partition_graph,
@@ -65,8 +76,118 @@ def _positive_int(text: str) -> int:
     return value
 
 
+_INFINITY = float("inf")
+
+
+def _float(value: float) -> str:
+    """A float as the `json` module writes it: its repr, or NaN, Infinity, -Infinity."""
+    if value != value:
+        return "NaN"
+    if value == _INFINITY:
+        return "Infinity"
+    if value == -_INFINITY:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+# The JSON text of a scalar, by its exact type.
+_SCALAR = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {False: "false", True: "true"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+    float: _float,
+}
+# What a subclass is written as, in the order the `json` module tests them.
+_BASES = (str, int, float, list, tuple, dict)
+
+
+@functools.lru_cache(maxsize=256)
+def _layout(shape: tuple[str, ...] | int, indent: str) -> str:
+    """The `str.format` template of a dict with the keys `shape`, or of a
+    list of `shape` items, whose first line starts at `indent`."""
+    inner = indent + "  "
+    if type(shape) is int:
+        return "[" + inner + ("," + inner).join(["{}"] * shape) + indent + "]"
+    fields = [encode_basestring_ascii(key).replace("{", "{{").replace("}", "}}") + ": {}"
+              for key in shape]
+    return "{{" + inner + ("," + inner).join(fields) + indent + "}}"
+
+
+def _rows(rows: Collection, kind: type, indent: str) -> Iterable[str] | None:
+    """The texts of sibling containers of one shape, each filled into one
+    shared `_layout`; None for any other siblings.
+
+    Dicts must have the same keys in the same order.  Their values are
+    encoded column by column, each column one batch for `_items`: the moves
+    of a neighborhood, the entries of a bijection or of a clique list.
+    Lists and tuples must have one length and hold only ints: the edges of
+    a graph.
+    """
+    if kind is dict:
+        shapes = set(map(tuple, rows))
+    elif kind is list or kind is tuple:
+        shapes = set(map(len, rows))
+    else:
+        return None
+    if len(shapes) != 1 or not (shape := shapes.pop()):
+        return None
+    if kind is dict:
+        inner = indent + "  "
+        columns = [_items(column, inner) for column in zip(*map(dict.values, rows))]
+        return starmap(_layout(shape, indent).format, zip(*columns))
+    if set(map(type, chain.from_iterable(rows))) != {int}:
+        return None
+    return starmap(_layout(shape, indent).format, rows)
+
+
+def _items(values: Collection, indent: str) -> Iterable[str]:
+    """The texts of a container's values, each on a line that starts at `indent`.
+
+    Values of one scalar type, such as the parts of a partition, map through
+    that type's encoder, and containers of one shape go through `_rows`;
+    otherwise each scalar is encoded in place and each container recurses.
+    """
+    kinds = set(map(type, values))
+    if len(kinds) == 1:
+        kind = kinds.pop()
+        if kind in _SCALAR:
+            return map(_SCALAR[kind], values)
+        rows = _rows(values, kind, indent)
+        if rows is not None:
+            return rows
+    return [encode(value) if (encode := _SCALAR.get(type(value))) else _write(value, indent)
+            for value in values]
+
+
+def _write(value: object, indent: str) -> str:
+    """`value` as `json`'s `dumps(value, indent=2)` writes it, when its first
+    line starts at `indent` (a newline and two spaces per level).
+
+    Subclasses of str, int, float, list, tuple and dict are written as their
+    base type, as the `json` module does; any other type, or a dict key
+    that is not a str, raises TypeError.
+    """
+    kind = type(value)
+    if kind not in _SCALAR and kind not in _BASES:
+        kind = next((base for base in _BASES if isinstance(value, base)), None)
+        if kind is None:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if kind in _SCALAR:
+        return _SCALAR[kind](value)
+    if not value:
+        return "{}" if kind is dict else "[]"
+    inner = indent + "  "
+    if kind is dict:
+        keys = map(encode_basestring_ascii, value)
+        fields = map("{}: {}".format, keys, _items(value.values(), inner))
+        return "{" + inner + ("," + inner).join(fields) + indent + "}"
+    return "[" + inner + ("," + inner).join(_items(value, inner)) + indent + "]"
+
+
 def _json(payload: object) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    """The exact text of `json`'s `dumps(payload, indent=2)`, plus a newline."""
+    return _write(payload, "\n") + "\n"
 
 
 def cmd_partitions(args: argparse.Namespace) -> tuple[str, int]:

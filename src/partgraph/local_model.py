@@ -29,15 +29,17 @@ class LocalType:
     beta: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.t < 1:
-            raise ValueError(f"support size must be at least one, got {self.t}")
+        # bool and float compare equal to ints but print otherwise in JSON.
+        if type(self.t) is not int or self.t < 1:
+            raise ValueError(f"support size must be a positive int, got {self.t!r}")
         if len(self.alpha) != self.t or len(self.beta) != self.t:
             raise ValueError(
                 f"indicator vectors must have length {self.t}, "
                 f"got {len(self.alpha)} and {len(self.beta)}"
             )
-        if any(bit not in (0, 1) for bit in self.alpha + self.beta):
-            raise ValueError("indicator entries must be 0 or 1")
+        bits = self.alpha + self.beta
+        if any(type(bit) is not int or bit not in (0, 1) for bit in bits):
+            raise ValueError(f"indicator entries must be the ints 0 or 1, got {bits}")
 
     @property
     def singleton_count(self) -> int:

@@ -1,0 +1,127 @@
+"""`cli._json` against the text of `json.dumps(payload, indent=2)`.
+
+The CLI writes every `--format json` output and the verify report with its
+own writer, which must give the standard library's indented text byte for
+byte.  Property tests compare the two on arbitrary JSON-like trees; the
+round-trip tests check that every JSON command's raw stdout is already in
+that form, so re-encoding what it parsed changes nothing.
+"""
+
+import json
+from typing import NamedTuple
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import partgraph.oracle
+from partgraph import cli
+from partgraph.partitions import enumerate_partitions
+
+
+class Move(NamedTuple):
+    i: object
+    j: object
+
+
+def stdlib(payload):
+    return json.dumps(payload, indent=2) + "\n"
+
+
+TRICKY = '"\\/\b\f\n\r\t\x00\x1f\x7f{}%é\u2028\uffff\U0001f600'
+strings = st.text(st.characters() | st.sampled_from(TRICKY))
+scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | st.floats()
+    | st.sampled_from([-0.0, float("nan"), float("inf"), float("-inf")])
+    | strings
+)
+
+
+@st.composite
+def rows(draw):
+    """Sibling lists, tuples or dicts of one shape, as the CLI's edges and
+    moves are, holding ints with now and then a bool or a string."""
+    width = draw(st.integers(0, 3))
+    keys = draw(st.lists(strings, min_size=width, max_size=width, unique=True))
+    cell = st.integers() | st.booleans() if draw(st.booleans()) else st.integers()
+    cells = draw(st.lists(st.lists(cell, min_size=width, max_size=width), max_size=4))
+    shape = draw(st.sampled_from(["list", "tuple", "dict"]))
+    if shape == "dict":
+        return [dict(zip(keys, row)) for row in cells]
+    return [tuple(row) if shape == "tuple" else row for row in cells]
+
+
+trees = st.recursive(
+    scalars | rows() | st.lists(st.integers() | st.booleans()),
+    lambda children: (
+        st.lists(children)
+        | st.lists(children).map(tuple)
+        | st.dictionaries(strings, children)
+        | st.builds(Move, children, children)
+    ),
+    max_leaves=25,
+)
+
+
+class TestWriter:
+    @settings(deadline=None, max_examples=150)
+    @given(trees)
+    def test_matches_json_dumps(self, payload):
+        assert cli._json(payload) == stdlib(payload)
+
+    @pytest.mark.parametrize("payload", [
+        {}, [], (), [{}], [[]], {"a": {}}, {"a": []}, [[], {}, ()], [[[]]],
+        [True, 1, False, 0], [1, True], -0.0, [float("nan"), float("inf"), float("-inf")],
+        [2**100, -(2**100)], Move(1, 2), [Move(1, 2), Move(3, 4)], {"m": Move([], {})},
+        [{"{i}": 1, "j}": 2}, {"{i}": 3, "j}": 4}], [{"i": 1, "j": 2}, {"j": 3, "i": 4}],
+        TRICKY, {TRICKY: [TRICKY]},
+    ])
+    def test_edge_cases(self, payload):
+        assert cli._json(payload) == stdlib(payload)
+
+    @pytest.mark.parametrize("payload", [
+        {1, 2}, [frozenset()], {"a": b"x"}, [[1, 2], [3, {4}]], object(), 1j, {1: "a"},
+    ])
+    def test_non_json_raises_type_error(self, payload):
+        with pytest.raises(TypeError):
+            cli._json(payload)
+
+
+def raw_stdout(capsys, *argv):
+    cli.main(list(argv))
+    return capsys.readouterr().out
+
+
+def assert_round_trips(out):
+    assert out == stdlib(json.loads(out))
+
+
+SMALL = [str(p) for n in range(1, 9) for p in enumerate_partitions(n)]
+
+
+class TestCliRoundTrip:
+    @pytest.mark.parametrize("command", ["local", "neighborhood", "cliques"])
+    def test_local_commands(self, capsys, command):
+        for text in SMALL + ["453,453,303,153,152,2"]:
+            assert_round_trips(raw_stdout(capsys, command, text, "--format", "json"))
+
+    @pytest.mark.parametrize("command", ["graph", "partitions"])
+    def test_whole_weight_commands(self, capsys, command):
+        for n in range(1, 10):
+            assert_round_trips(raw_stdout(capsys, command, str(n), "--format", "json"))
+
+    def test_verify_report_with_timings(self, capsys):
+        out = raw_stdout(capsys, "verify", "--nmax", "6")
+        assert set(json.loads(out)["timings_ms"]) == set(partgraph.oracle.CHECKS)
+        assert_round_trips(out)
+
+    def test_verify_report_with_a_failure(self, capsys, monkeypatch):
+        monkeypatch.setattr(partgraph.oracle, "degree_formula", lambda T: 'λ {"t", 1}')
+        out = raw_stdout(capsys, "verify", "--nmax", "3")
+        details = [f["detail"] for c in json.loads(out)["checks"] for f in c["failures"]]
+        assert any('{"t", 1}' in detail for detail in details)
+        assert_round_trips(out)

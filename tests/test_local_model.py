@@ -53,6 +53,11 @@ class TestLocalType:
         dict(t=0, alpha=(), beta=()),
         dict(t=2, alpha=(1,), beta=(0, 0)),
         dict(t=1, alpha=(2,), beta=(0,)),
+        dict(t=1, alpha=(True,), beta=(False,)),
+        dict(t=2, alpha=(1, 0), beta=(0, True)),
+        dict(t=1, alpha=(1.0,), beta=(0,)),
+        dict(t=1.0, alpha=(1,), beta=(0,)),
+        dict(t=True, alpha=(1,), beta=(0,)),
     ])
     def test_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
