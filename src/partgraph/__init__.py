@@ -52,14 +52,9 @@ from .partitions import (
 from .transfers import (
     InadmissibleTransferError,
     TransferMove,
-    addable_corner_columns,
     apply_transfer,
     are_adjacent,
-    conjugate_delta,
-    is_admissible,
     neighbors,
-    parse_move,
-    removable_corner_columns,
 )
 
 __version__ = "0.1.0"
@@ -77,7 +72,6 @@ __all__ = [
     "SimpleGraph",
     "TransferMove",
     "VerificationReport",
-    "addable_corner_columns",
     "admissibility_graph",
     "apply_transfer",
     "are_adjacent",
@@ -85,12 +79,10 @@ __all__ = [
     "classify_clique",
     "cliques_through",
     "conjugate",
-    "conjugate_delta",
     "degree_formula",
     "enumerate_partitions",
     "gaps",
     "induced_neighborhood",
-    "is_admissible",
     "line_graph",
     "local_clique_number",
     "local_dimension",
@@ -98,9 +90,7 @@ __all__ = [
     "make_partition",
     "neighbors",
     "observe",
-    "parse_move",
     "parse_partition",
-    "removable_corner_columns",
     "run_all",
     "side_degrees",
     "verify_cliques",

@@ -58,12 +58,6 @@ class SimpleGraph:
     def degree(self, v: int) -> int:
         return len(self._adjacency[v])
 
-    def has_edge(self, a: int, b: int) -> bool:
-        return (min(a, b), max(a, b)) in self.edges
-
-    def neighbors_of(self, v: int) -> set[int]:
-        return set(self._adjacency[v])
-
     def to_json(self) -> dict:
         return {
             "labels": [label_json(label) for label in self.labels],

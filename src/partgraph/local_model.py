@@ -32,6 +32,11 @@ class LocalType:
         # bool and float compare equal to ints but print otherwise in JSON.
         if type(self.t) is not int or self.t < 1:
             raise ValueError(f"support size must be a positive int, got {self.t!r}")
+        # A list would compare unequal to the same tuple and could not be hashed.
+        if type(self.alpha) is not tuple or type(self.beta) is not tuple:
+            raise ValueError(
+                f"indicator vectors must be tuples, got {self.alpha!r} and {self.beta!r}"
+            )
         if len(self.alpha) != self.t or len(self.beta) != self.t:
             raise ValueError(
                 f"indicator vectors must have length {self.t}, "
@@ -69,12 +74,6 @@ class AdmissibilityGraph:
     @property
     def edge_count(self) -> int:
         return len(self.edges)
-
-    def left_degree(self, i: int) -> int:
-        return sum(1 for a, _ in self.edges if a == i)
-
-    def right_degree(self, j: int) -> int:
-        return sum(1 for _, b in self.edges if b == j)
 
     def to_json(self) -> dict:
         return {"t": self.t, "edges": [list(edge) for edge in self.sorted_edges()]}

@@ -4,10 +4,10 @@ A full sweep observes each partition once (`observe`).  It builds G_n once
 per weight, from the conjugate index, and for every partition it generates
 the moves and their targets, tests every pair of targets for adjacency, lays
 corner sharing of the move labels next to that (`verify_line_graph_theorem`)
-and searches the induced neighborhood for maximal cliques.  `run_all` hands
-each observation to the four checks before it makes the next one, so a sweep
-holds one partition's observation at a time.  Each check reads it against a
-prediction of its own:
+and searches the induced neighborhood for maximal cliques.
+
+Each check reads one observation against a prediction of its own and
+returns that partition's failures; it counts nothing and times nothing:
 
 - degrees: distinct targets, the degree formula and the degree in G_n;
 - neighborhoods: adjacency of the targets against corner sharing, and every
@@ -17,12 +17,16 @@ prediction of its own:
 - type_determinacy: moves, adjacency, degree and clique number against the
   model of the partition's local type, built once per type.
 
+`run_all` is the only loop.  It hands each observation to the four checks
+before it makes the next, so a sweep holds one partition's observation at a
+time, and it tallies what each check examined, failed and took.  With
+`--degrees-only` it calls `verify_degrees` on each enumerated partition and
+its `neighbors`, and nothing is observed.
+
 Only the brute-force observation is shared, never a prediction.  Sharing it
 removes no independent route: the checks used to observe each partition on
 their own, but through the same `neighbors` and `are_adjacent` code.  G_n is
-built without either, so the degree in G_n stays a route of its own.  With
-`--degrees-only`, `verify_degrees(n)` generates the neighbors itself and
-nothing is observed.
+built without either, so the degree in G_n stays a route of its own.
 
 In the report, each check's time includes the part of the observation named
 after it: the graph build for degrees, `verify_line_graph_theorem` for
@@ -98,14 +102,14 @@ class VerificationReport:
 CHECKS = ("degrees", "neighborhoods", "cliques", "type_determinacy")
 
 
-def _failure(check: str, n: int, p: Partition, detail: str, degrees_only: bool = False) -> dict:
+def _failure(check: str, p: Partition, detail: str, degrees_only: bool = False) -> dict:
     if check == "neighborhoods":
         replay = f"partgraph neighborhood {p}"
     elif check == "cliques":
         replay = f"partgraph cliques {p}"
     else:
-        replay = f"partgraph verify --nmax {n}" + (" --degrees-only" if degrees_only else "")
-    return {"check": check, "n": n, "partition": str(p), "detail": detail, "replay": replay}
+        replay = f"partgraph verify --nmax {p.weight}" + (" --degrees-only" if degrees_only else "")
+    return {"check": check, "n": p.weight, "partition": str(p), "detail": detail, "replay": replay}
 
 
 @dataclass(frozen=True)
@@ -149,97 +153,72 @@ def observe(n: int) -> Iterator[Observation]:
         build_ms = 0.0
 
 
-def verify_degrees(n: int, observed: Iterable[Observation] | None = None) -> CheckResult:
-    """Degree check over all partitions of n.
+def verify_degrees(p: Partition, targets: Iterable[Partition],
+                   graph_degree: int | None = None) -> list[dict]:
+    """Degree check of one partition.
 
-    Compares the count of distinct neighbors with the closed formula and,
-    given the partitions' observations, with their degree in G_n.  Without
-    them, as under `verify --degrees-only`, it generates the neighbors itself
-    and builds no graph.
+    Compares the count of its distinct targets with the closed formula and,
+    when given, with its degree in G_n.  `verify --degrees-only` passes
+    `neighbors(p).values()` and no graph degree.
     """
-    start = time.perf_counter()
-    failures: list[dict] = []
-    if observed is None:
-        seen = ((p, neighbors(p).values(), None) for p in enumerate_partitions(n))
-    else:
-        seen = ((o.partition, o.neighborhood.targets, o.graph_degree) for o in observed)
-    examined = 0
-    for examined, (p, targets, graph_degree) in enumerate(seen, 1):
-        values = {
-            "neighbor_count": len(set(targets) - {p}),
-            "formula": degree_formula(local_type(p)),
-        }
-        if graph_degree is not None:
-            values["graph_degree"] = graph_degree
-        if len(set(values.values())) != 1:
-            failures.append(_failure(
-                "degrees", n, p, f"degree mismatch: {values}", degrees_only=observed is None,
-            ))
-    ms = (time.perf_counter() - start) * 1000
-    return CheckResult("degrees", examined, failures, ms)
+    values = {"neighbor_count": len(set(targets) - {p}), "formula": degree_formula(local_type(p))}
+    if graph_degree is not None:
+        values["graph_degree"] = graph_degree
+    if len(set(values.values())) == 1:
+        return []
+    return [_failure("degrees", p, f"degree mismatch: {values}", graph_degree is None)]
 
 
-def verify_neighborhoods(observed: Iterable[Observation]) -> CheckResult:
-    """Neighborhood check over observed partitions.
+def verify_neighborhoods(o: Observation) -> list[dict]:
+    """Neighborhood check of one observation.
 
     Every pair of targets must be adjacent exactly when their moves share a
     corner, and every target must be adjacent to its partition.
     """
-    start = time.perf_counter()
-    failures: list[dict] = []
-    examined = 0
-    for examined, o in enumerate(observed, 1):
-        check, p = o.neighborhood, o.partition
-        for v in check.violations:
+    check, p = o.neighborhood, o.partition
+    failures = []
+    for v in check.violations:
+        failures.append(_failure(
+            "neighborhoods", p,
+            f"pair {v.first}/{v.second}: adjacent_in_graph={v.adjacent_in_graph}, "
+            f"share_corner={v.share_corner}",
+        ))
+    for move, target in zip(check.moves, check.targets):
+        if not are_adjacent(p, target):
             failures.append(_failure(
-                "neighborhoods", p.weight, p,
-                f"pair {v.first}/{v.second}: adjacent_in_graph={v.adjacent_in_graph}, "
-                f"share_corner={v.share_corner}",
+                "neighborhoods", p, f"move {move}: target {target} is not adjacent",
             ))
-        for move, target in zip(check.moves, check.targets):
-            if not are_adjacent(p, target):
-                failures.append(_failure(
-                    "neighborhoods", p.weight, p, f"move {move}: target {target} is not adjacent",
-                ))
-    ms = (time.perf_counter() - start) * 1000
-    return CheckResult("neighborhoods", examined, failures, ms)
+    return failures
 
 
-def verify_cliques(observed: Iterable[Observation]) -> CheckResult:
-    """Clique check over observed partitions.
+def verify_cliques(o: Observation) -> list[dict]:
+    """Clique check of one observation.
 
     Every maximal clique found by search must classify by a shared corner,
     and one plus the largest clique size must match the closed-form clique
     number, with the dimension one below that.
     """
-    start = time.perf_counter()
-    failures: list[dict] = []
-    examined = 0
-    for examined, o in enumerate(observed, 1):
-        p, cliques, n = o.partition, o.cliques, o.partition.weight
-        for clique in cliques:
-            try:
-                classify_clique(clique)
-            except CliqueClassificationError as exc:
-                failures.append(_failure(
-                    "cliques", n, p,
-                    f"unclassifiable clique {[str(m) for m in clique]}: {exc}",
-                ))
-        searched = 1 + max((len(clique) for clique in cliques), default=0)
-        T = local_type(p)
-        formula = local_clique_number(T)
-        if searched != formula:
+    p, cliques = o.partition, o.cliques
+    failures = []
+    for clique in cliques:
+        try:
+            classify_clique(clique)
+        except CliqueClassificationError as exc:
             failures.append(_failure(
-                "cliques", n, p,
-                f"clique number mismatch: search={searched}, formula={formula}",
+                "cliques", p, f"unclassifiable clique {[str(m) for m in clique]}: {exc}",
             ))
-        if local_dimension(T) != formula - 1:
-            failures.append(_failure(
-                "cliques", n, p,
-                f"dimension mismatch: {local_dimension(T)} vs clique number {formula}",
-            ))
-    ms = (time.perf_counter() - start) * 1000
-    return CheckResult("cliques", examined, failures, ms)
+    searched = 1 + max((len(clique) for clique in cliques), default=0)
+    T = local_type(p)
+    formula = local_clique_number(T)
+    if searched != formula:
+        failures.append(_failure(
+            "cliques", p, f"clique number mismatch: search={searched}, formula={formula}",
+        ))
+    if local_dimension(T) != formula - 1:
+        failures.append(_failure(
+            "cliques", p, f"dimension mismatch: {local_dimension(T)} vs clique number {formula}",
+        ))
+    return failures
 
 
 def _local_signature(check: NeighborhoodCheck, cliques: list[tuple[TransferMove, ...]]) -> dict:
@@ -270,71 +249,60 @@ def _type_prediction(T: LocalType) -> dict:
     }
 
 
-def verify_type_determinacy(
-    observed: Iterable[Observation], predictions: dict | None = None,
-) -> CheckResult:
-    """Partitions of equal local type must expose identical local data.
+def verify_type_determinacy(o: Observation, predictions: dict) -> list[dict]:
+    """A partition must expose the local data its local type alone predicts.
 
-    Checks each observed partition, of any weight, against what its type
-    alone predicts, so by transitivity all partitions of a type agree with
-    each other, across weights.  `predictions` keeps the model of each type
-    seen; `run_all` passes one dict to every call.
+    Checking every partition, of any weight, against its type's model means,
+    by transitivity, that all partitions of a type agree with each other,
+    across weights.  `predictions` keeps the model of each type seen;
+    `run_all` passes one dict to every call.
     """
-    start = time.perf_counter()
-    failures: list[dict] = []
-    predictions = {} if predictions is None else predictions
-    examined = 0
-    for examined, o in enumerate(observed, 1):
-        p = o.partition
-        signature = _local_signature(o.neighborhood, o.cliques)
-        T = local_type(p)
-        if T not in predictions:
-            predictions[T] = _type_prediction(T)
-        predicted = predictions[T]
-        for key in signature:
-            if signature[key] != predicted[key]:
-                failures.append(_failure(
-                    "type_determinacy", p.weight, p,
-                    f"{key} disagrees with the type model: "
-                    f"{signature[key]!r} vs {predicted[key]!r}",
-                ))
-    ms = (time.perf_counter() - start) * 1000
-    return CheckResult("type_determinacy", examined, failures, ms)
-
-
-def _add(total: CheckResult, part: CheckResult, observing_ms: float = 0.0) -> None:
-    total.examined += part.examined
-    total.failures += part.failures
-    total.ms += part.ms + observing_ms
+    p = o.partition
+    signature = _local_signature(o.neighborhood, o.cliques)
+    T = local_type(p)
+    if T not in predictions:
+        predictions[T] = _type_prediction(T)
+    predicted = predictions[T]
+    return [
+        _failure(
+            "type_determinacy", p,
+            f"{key} disagrees with the type model: {signature[key]!r} vs {predicted[key]!r}",
+        )
+        for key in signature
+        if signature[key] != predicted[key]
+    ]
 
 
 def run_all(n_max: int, degrees_only: bool = False) -> VerificationReport:
-    """Run every verifier for all weights 1..n_max and aggregate one report.
+    """Run every check on all partitions of weights 1..n_max and tally one report.
 
-    The full sweep observes each partition once and runs the four checks on
-    that observation before making the next.  With degrees_only, only the
-    neighbor-count versus formula comparison runs (no graph build, no pair
-    checks); that mode stays cheap at weights where the full sweep would not.
+    This is the only loop: it observes each partition once and hands the
+    observation to the four checks before making the next.  Each check's
+    time is its own plus the part of the observation charged to it.  With
+    degrees_only, only the neighbor count versus formula comparison runs on
+    each enumerated partition (no graph build, no pair tests); that mode
+    stays cheap at weights where the full sweep would not.
     """
     if n_max < 1:
         raise ValueError(f"weight bound must be at least one, got {n_max}")
     weights = range(1, n_max + 1)
     if degrees_only:
-        total = CheckResult("degrees", 0)
-        for n in weights:
-            _add(total, verify_degrees(n))
-        return VerificationReport((1, n_max), [total])
-    totals = [CheckResult(name, 0) for name in CHECKS]
-    predictions: dict[LocalType, dict] = {}
-    for n in weights:
-        for o in observe(n):
-            one = (o,)
-            parts = (
-                verify_degrees(n, one),
-                verify_neighborhoods(one),
-                verify_cliques(one),
-                verify_type_determinacy(one, predictions),
-            )
-            for total, part in zip(totals, parts):
-                _add(total, part, o.ms.get(total.name, 0.0))
+        checks = [lambda p: verify_degrees(p, neighbors(p).values())]
+        seen = ((p, {}) for n in weights for p in enumerate_partitions(n))
+    else:
+        predictions: dict[LocalType, dict] = {}
+        checks = [
+            lambda o: verify_degrees(o.partition, o.neighborhood.targets, o.graph_degree),
+            verify_neighborhoods,
+            verify_cliques,
+            lambda o: verify_type_determinacy(o, predictions),
+        ]
+        seen = ((o, o.ms) for n in weights for o in observe(n))
+    totals = [CheckResult(name, 0) for name in CHECKS[:len(checks)]]
+    for subject, charged in seen:
+        for total, check in zip(totals, checks):
+            start = time.perf_counter()
+            total.failures += check(subject)
+            total.ms += (time.perf_counter() - start) * 1000 + charged.get(total.name, 0.0)
+            total.examined += 1
     return VerificationReport((1, n_max), totals)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .partitions import Partition, conjugate, parse_digits
+from .partitions import Partition, conjugate
 
 
 class TransferMove(NamedTuple):
@@ -37,17 +37,6 @@ class TransferMove(NamedTuple):
         return {"i": self.i, "j": self.j}
 
 
-def parse_move(text: str) -> TransferMove:
-    """Parse a move from its "i->j" form; both indices are ASCII digits."""
-    left, sep, right = text.partition("->")
-    try:
-        if not sep:
-            raise ValueError
-        return TransferMove(parse_digits(left), parse_digits(right))
-    except ValueError:
-        raise ValueError(f"cannot parse move from {text!r}, expected 'i->j'") from None
-
-
 class InadmissibleTransferError(ValueError):
     """A rejected transfer; `reason` names the obstruction that fired."""
 
@@ -55,24 +44,6 @@ class InadmissibleTransferError(ValueError):
         super().__init__(message)
         self.move = move
         self.reason = reason
-
-
-def removable_corner_columns(p: Partition) -> tuple[int, ...]:
-    """Column of each removable corner: the distinct part sizes."""
-    return p.block_sizes()
-
-
-def addable_corner_columns(p: Partition) -> tuple[int, ...]:
-    """Column of each addable corner: one past every distinct size, then column one."""
-    return tuple(size + 1 for size in p.block_sizes()) + (1,)
-
-
-def _check_range(p: Partition, move: TransferMove) -> None:
-    t = p.support_size
-    if not 1 <= move.i <= t:
-        raise ValueError(f"removable index {move.i} out of range 1..{t} for {p}")
-    if not 1 <= move.j <= t + 1:
-        raise ValueError(f"addable index {move.j} out of range 1..{t + 1} for {p}")
 
 
 def _obstruction(p: Partition, move: TransferMove) -> str | None:
@@ -93,17 +64,15 @@ _OBSTRUCTIONS = {
 
 
 def _require_admissible(p: Partition, move: TransferMove) -> None:
-    _check_range(p, move)
+    t = p.support_size
+    if not 1 <= move.i <= t:
+        raise ValueError(f"removable index {move.i} out of range 1..{t} for {p}")
+    if not 1 <= move.j <= t + 1:
+        raise ValueError(f"addable index {move.j} out of range 1..{t + 1} for {p}")
     reason = _obstruction(p, move)
     if reason:
         why = _OBSTRUCTIONS[reason].format(move.i)
         raise InadmissibleTransferError(move, reason, f"move {move} on {p}: {why}")
-
-
-def is_admissible(p: Partition, move: TransferMove) -> bool:
-    """Whether the move changes the partition; false on the two obstructions."""
-    _check_range(p, move)
-    return _obstruction(p, move) is None
 
 
 def apply_transfer(p: Partition, move: TransferMove) -> Partition:
@@ -147,15 +116,6 @@ def neighbors(p: Partition) -> dict[TransferMove, Partition]:
             if _obstruction(p, move) is None:
                 out[move] = apply_transfer(p, move)
     return out
-
-
-def conjugate_delta(p: Partition, move: TransferMove) -> tuple[int, int]:
-    """The pair of columns (losing, gaining) that the move changes in the conjugate."""
-    _require_admissible(p, move)
-    sizes = p.block_sizes()
-    losing = sizes[move.i - 1]
-    gaining = (sizes[move.j - 1] if move.j <= len(sizes) else 0) + 1
-    return (losing, gaining)
 
 
 def are_adjacent(p: Partition, q: Partition) -> bool:

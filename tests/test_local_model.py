@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -58,6 +60,8 @@ class TestLocalType:
         dict(t=1, alpha=(1.0,), beta=(0,)),
         dict(t=1.0, alpha=(1,), beta=(0,)),
         dict(t=True, alpha=(1,), beta=(0,)),
+        dict(t=1, alpha=[1], beta=[0]),
+        dict(t=2, alpha=(1, 0), beta=[0, 1]),
     ])
     def test_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
@@ -149,8 +153,10 @@ class TestSideDegrees:
     def test_matches_vertex_degree_counting(self, T):
         B = admissibility_graph(T)
         left, right = side_degrees(T)
-        assert left == tuple(B.left_degree(i) for i in range(1, T.t + 1))
-        assert right == tuple(B.right_degree(j) for j in range(1, T.t + 2))
+        removable = Counter(i for i, _ in B.edges)
+        addable = Counter(j for _, j in B.edges)
+        assert left == tuple(removable[i] for i in range(1, T.t + 1))
+        assert right == tuple(addable[j] for j in range(1, T.t + 2))
         assert sum(left) == sum(right) == B.edge_count
 
 

@@ -1,4 +1,6 @@
 from collections import Counter
+from itertools import count
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,6 +15,7 @@ from partgraph import (
     enumerate_partitions,
     local_type,
     make_partition,
+    neighbors,
     observe,
     run_all,
     verify_cliques,
@@ -33,31 +36,42 @@ def observe_up_to(n_max):
     return [o for n in range(1, n_max + 1) for o in observe(n)]
 
 
+def observed_degrees(o):
+    return verify_degrees(o.partition, o.neighborhood.targets, o.graph_degree)
+
+
+def enumerated_degrees(n):
+    return [f for p in enumerate_partitions(n) for f in verify_degrees(p, neighbors(p).values())]
+
+
+def type_failures(observed):
+    predictions = {}
+    return [f for o in observed for f in verify_type_determinacy(o, predictions)]
+
+
 class TestSingleWeightVerifiers:
     def test_degrees_weight_twelve(self):
-        result = verify_degrees(12, observe(12))
-        assert result.name == "degrees"
-        assert result.examined == 77
-        assert result.passed
-        assert result.ms >= 0
+        observed = list(observe(12))
+        assert len(observed) == 77
+        assert [f for o in observed for f in observed_degrees(o)] == []
 
     def test_degrees_without_graph(self):
-        assert verify_degrees(9).passed
+        assert enumerated_degrees(9) == []
 
     def test_neighborhoods_weight_eight(self):
-        result = verify_neighborhoods(observe(8))
-        assert result.examined == 22
-        assert result.passed
+        observed = list(observe(8))
+        assert len(observed) == 22
+        assert [f for o in observed for f in verify_neighborhoods(o)] == []
 
     def test_cliques_weight_eight(self):
-        result = verify_cliques(observe(8))
-        assert result.examined == 22
-        assert result.passed
+        observed = list(observe(8))
+        assert len(observed) == 22
+        assert [f for o in observed for f in verify_cliques(o)] == []
 
     def test_type_determinacy_weight_eight(self):
-        result = verify_type_determinacy(observe_up_to(8))
-        assert result.examined == total_partitions(8)
-        assert result.passed
+        observed = observe_up_to(8)
+        assert len(observed) == total_partitions(8)
+        assert type_failures(observed) == []
 
 
 class TestTypeDeterminacyFailures:
@@ -73,8 +87,8 @@ class TestTypeDeterminacyFailures:
             return predicted
 
         monkeypatch.setattr(partgraph.oracle, "_type_prediction", wrong_degree)
-        result = verify_type_determinacy(observe_up_to(8))
-        flagged = {(f["n"], f["partition"]) for f in result.failures}
+        failures = type_failures(observe_up_to(8))
+        flagged = {(f["n"], f["partition"]) for f in failures}
         expected = {
             (n, str(p))
             for n in range(1, 9)
@@ -83,8 +97,8 @@ class TestTypeDeterminacyFailures:
         }
         assert len(expected) == 5
         assert flagged == expected
-        assert len(result.failures) == len(expected)
-        for failure in result.failures:
+        assert len(failures) == len(expected)
+        for failure in failures:
             assert failure["check"] == "type_determinacy"
             assert failure["detail"].startswith("degree disagrees with the type model")
             assert failure["replay"] == f"partgraph verify --nmax {failure['n']}"
@@ -100,18 +114,18 @@ class TestFailureDetails:
             return apply(p, TransferMove(1, 1) if p == collided else move)
 
         monkeypatch.setattr(partgraph.transfers, "apply_transfer", collide)
-        without_graph = verify_degrees(8)
-        with_graph = verify_degrees(8, observe(8))
-        assert [(f["partition"], f["detail"]) for f in without_graph.failures] == [
+        without_graph = enumerated_degrees(8)
+        with_graph = [f for o in observe(8) for f in observed_degrees(o)]
+        assert [(f["partition"], f["detail"]) for f in without_graph] == [
             ("4,4", "degree mismatch: {'neighbor_count': 1, 'formula': 2}"),
         ]
-        assert [(f["partition"], f["detail"]) for f in with_graph.failures] == [
+        assert [(f["partition"], f["detail"]) for f in with_graph] == [
             ("4,4", "degree mismatch: {'neighbor_count': 1, 'formula': 2, 'graph_degree': 2}"),
         ]
-        assert [f["replay"] for f in without_graph.failures] == [
+        assert [f["replay"] for f in without_graph] == [
             "partgraph verify --nmax 8 --degrees-only",
         ]
-        assert [f["replay"] for f in with_graph.failures] == ["partgraph verify --nmax 8"]
+        assert [f["replay"] for f in with_graph] == ["partgraph verify --nmax 8"]
 
     @pytest.mark.parametrize("adjacent, flagged", [
         (lambda p, q: False, [
@@ -128,28 +142,28 @@ class TestFailureDetails:
     ])
     def test_neighborhood_pair_detail(self, monkeypatch, capsys, adjacent, flagged):
         monkeypatch.setattr(partgraph.graphs, "are_adjacent", adjacent)
-        result = verify_neighborhoods(observe(4))
-        assert [(f["partition"], f["detail"]) for f in result.failures] == flagged
-        assert all(f["check"] == "neighborhoods" and f["n"] == 4 for f in result.failures)
-        assert [f["replay"] for f in result.failures] == [
+        failures = [f for o in observe(4) for f in verify_neighborhoods(o)]
+        assert [(f["partition"], f["detail"]) for f in failures] == flagged
+        assert all(f["check"] == "neighborhoods" and f["n"] == 4 for f in failures)
+        assert [f["replay"] for f in failures] == [
             f"partgraph neighborhood {partition}" for partition, _ in flagged
         ]
-        for replay in {f["replay"] for f in result.failures}:
+        for replay in {f["replay"] for f in failures}:
             assert main([*replay.split()[1:], "--format", "json"]) == 0
             assert '"verified": false' in capsys.readouterr().out
 
     def test_clique_number_mismatch_detail(self, monkeypatch):
         formula = partgraph.oracle.local_clique_number
         monkeypatch.setattr(partgraph.oracle, "local_clique_number", lambda T: formula(T) + 1)
-        result = verify_cliques(observe(4))
+        failures = [f for o in observe(4) for f in verify_cliques(o)]
         expected = []
         for partition, searched in [("4", 2), ("3,1", 3), ("2,2", 3), ("2,1,1", 3), ("1,1,1,1", 2)]:
             expected += [
                 (partition, f"clique number mismatch: search={searched}, formula={searched + 1}"),
                 (partition, f"dimension mismatch: {searched - 1} vs clique number {searched + 1}"),
             ]
-        assert [(f["partition"], f["detail"]) for f in result.failures] == expected
-        assert [f["replay"] for f in result.failures] == [
+        assert [(f["partition"], f["detail"]) for f in failures] == expected
+        assert [f["replay"] for f in failures] == [
             f"partgraph cliques {partition}" for partition, _ in expected
         ]
 
@@ -163,8 +177,8 @@ class TestFailureDetails:
             return p if (p, move) == (broken, (1, 2)) else apply(p, move)
 
         monkeypatch.setattr(partgraph.transfers, "apply_transfer", back_home)
-        result = verify_neighborhoods(observe(4))
-        assert [(f["partition"], f["detail"], f["replay"]) for f in result.failures] == [
+        failures = [f for o in observe(4) for f in verify_neighborhoods(o)]
+        assert [(f["partition"], f["detail"], f["replay"]) for f in failures] == [
             ("2,2", "move 1->2: target 2,2 is not adjacent", "partgraph neighborhood 2,2"),
         ]
 
@@ -191,25 +205,35 @@ class TestFailureDetails:
         # 66 partitions of weight <= 8, and 363 = sum of C(degree, 2) over them.
         assert calls == {"are_adjacent": 363, "neighbors": 66}
         calls.clear()
-        assert verify_type_determinacy(observed).passed
+        assert type_failures(observed) == []
         assert calls == {}
 
     def test_run_all_observes_each_partition_once(self, monkeypatch):
         modules = (partgraph.oracle, partgraph.graphs, partgraph.transfers)
-        names = ("are_adjacent", "neighbors", "apply_transfer", "induced_neighborhood")
+        checks = ("verify_degrees", "verify_neighborhoods", "verify_cliques",
+                  "verify_type_determinacy")
+        names = ("are_adjacent", "neighbors", "apply_transfer", "induced_neighborhood",
+                 "observe", *checks)
         calls = self.count_calls(monkeypatch, modules, names)
         assert run_all(8).passed
         # One neighbors call and one induced neighborhood per partition; 363
         # neighbor-pair tests plus one test per move's target, 218 = the sum
-        # of the degrees; apply_transfer once per move.
+        # of the degrees; apply_transfer once per move; each check once per
+        # partition; one observe per weight.
         assert calls == {
             "neighbors": 66, "induced_neighborhood": 66,
-            "are_adjacent": 363 + 218, "apply_transfer": 218,
+            "are_adjacent": 363 + 218, "apply_transfer": 218, "observe": 8,
+            **dict.fromkeys(checks, 66),
         }
         calls.clear()
         for n in range(1, 9):
             build_partition_graph(n)
         assert calls == {}
+        calls.clear()
+        assert run_all(8, degrees_only=True).passed
+        # One degree check and one neighbors call per enumerated partition,
+        # and nothing observed.
+        assert calls == {"verify_degrees": 66, "neighbors": 66, "apply_transfer": 218}
 
 
 class TestRunAll:
@@ -221,11 +245,36 @@ class TestRunAll:
         ]
         assert all(c.examined == total_partitions(6) for c in report.checks)
         assert report.passed
+        assert all(ms >= 0 for ms in report.to_json()["timings_ms"].values())
 
     def test_degrees_only_mode(self):
         report = run_all(8, degrees_only=True)
         assert [c.name for c in report.checks] == ["degrees"]
+        assert report.checks[0].examined == total_partitions(8)
         assert report.passed
+        assert report.to_json()["timings_ms"]["degrees"] >= 0
+
+    @pytest.mark.parametrize("degrees_only", [False, True])
+    def test_timings_charge_each_observed_step_to_its_check(self, monkeypatch, degrees_only):
+        # A clock that advances one second per reading makes every timed
+        # interval 1000 ms, so each total counts the intervals charged to it.
+        ticks = count()
+        monkeypatch.setattr(partgraph.oracle, "time",
+                            SimpleNamespace(perf_counter=lambda: float(next(ticks))))
+        timings = run_all(6, degrees_only=degrees_only).to_json()["timings_ms"]
+        partitions, weights = total_partitions(6), 6
+        if degrees_only:
+            assert timings == {"degrees": 1000.0 * partitions}
+        else:
+            # Its own check per partition, plus: one graph build per weight
+            # for degrees, the neighborhood observation for neighborhoods and
+            # the clique search for cliques.
+            assert timings == {
+                "degrees": 1000.0 * (partitions + weights),
+                "neighborhoods": 2000.0 * partitions,
+                "cliques": 2000.0 * partitions,
+                "type_determinacy": 1000.0 * partitions,
+            }
 
     def test_json_shape(self):
         payload = run_all(4).to_json()

@@ -9,17 +9,12 @@ from partgraph import (
     InadmissibleTransferError,
     Partition,
     TransferMove,
-    addable_corner_columns,
     apply_transfer,
     are_adjacent,
     conjugate,
-    conjugate_delta,
     enumerate_partitions,
-    is_admissible,
     make_partition,
     neighbors,
-    parse_move,
-    removable_corner_columns,
 )
 from partgraph.graphs import label_json
 
@@ -34,6 +29,35 @@ def move_grid(p):
     return [TransferMove(i, j) for i in range(1, t + 1) for j in range(1, t + 2)]
 
 
+def conjugate_corners(p):
+    """Corner columns read off the conjugate, right to left: column c has a
+    removable corner when it is longer than column c + 1, and takes an added
+    cell when c is one or column c - 1 is longer."""
+    cols = conjugate(p).parts + (0,)
+    removable = tuple(c for c in range(len(cols) - 1, 0, -1) if cols[c - 1] > cols[c])
+    addable = tuple(c for c in range(len(cols), 0, -1) if c == 1 or cols[c - 2] > cols[c - 1])
+    return removable, addable
+
+
+def column_delta(p, move):
+    """The conjugate's columns (losing, gaining) under the move, from the block
+    sizes: the cell leaves column sizes[i-1] and joins column sizes[j-1] + 1,
+    or column one when j = t + 1."""
+    sizes = p.block_sizes()
+    return sizes[move.i - 1], (sizes[move.j - 1] if move.j <= len(sizes) else 0) + 1
+
+
+def shifted_conjugate(p, losing, gaining):
+    """The conjugate of p with one cell moved from column `losing` to `gaining`."""
+    vec = list(conjugate(p).parts)
+    vec += [0] * (max(losing, gaining) - len(vec))
+    vec[losing - 1] -= 1
+    vec[gaining - 1] += 1
+    while vec and vec[-1] == 0:
+        vec.pop()
+    return tuple(vec)
+
+
 class TestCorners:
     @pytest.mark.parametrize("parts,removable,addable", [
         ((4, 4, 2, 2), (4, 2), (5, 3, 1)),
@@ -43,39 +67,43 @@ class TestCorners:
     ])
     def test_columns(self, parts, removable, addable):
         p = Partition(parts)
-        assert removable_corner_columns(p) == removable
-        assert addable_corner_columns(p) == addable
+        assert conjugate_corners(p) == (removable, addable)
+        assert p.block_sizes() == removable
 
     @given(partitions)
     def test_one_removable_per_block_one_extra_addable(self, p):
-        assert len(removable_corner_columns(p)) == p.support_size
-        assert len(addable_corner_columns(p)) == p.support_size + 1
+        removable, addable = conjugate_corners(p)
+        assert removable == p.block_sizes()
+        assert addable == tuple(size + 1 for size in removable) + (1,)
+        assert len(addable) == p.support_size + 1
 
 
 class TestAdmissibility:
     def test_single_block_of_one_part(self):
         p = make_partition([7])
-        assert not is_admissible(p, TransferMove(1, 1))
-        assert is_admissible(p, TransferMove(1, 2))
+        assert TransferMove(1, 1) not in neighbors(p)
+        assert TransferMove(1, 2) in neighbors(p)
 
     def test_all_ones(self):
         p = make_partition([1, 1, 1, 1])
-        assert is_admissible(p, TransferMove(1, 1))
-        assert not is_admissible(p, TransferMove(1, 2))
+        assert TransferMove(1, 1) in neighbors(p)
+        assert TransferMove(1, 2) not in neighbors(p)
 
     def test_two_fat_blocks_everything_allowed(self):
         p = make_partition([4, 4, 2, 2])
-        assert all(is_admissible(p, m) for m in move_grid(p))
+        assert list(neighbors(p)) == move_grid(p)
 
     @pytest.mark.parametrize("i,j", [(0, 1), (3, 1), (1, 4), (1, 0)])
     def test_out_of_range_indices(self, i, j):
-        with pytest.raises(ValueError):
-            is_admissible(make_partition([4, 4, 2, 2]), TransferMove(i, j))
+        with pytest.raises(ValueError, match="out of range") as excinfo:
+            apply_transfer(make_partition([4, 4, 2, 2]), TransferMove(i, j))
+        assert not isinstance(excinfo.value, InadmissibleTransferError)
 
     @given(partitions)
     def test_matches_definition_level_oracle(self, p):
+        nbrs = neighbors(p)
         for m in move_grid(p):
-            assert is_admissible(p, m) == definition_admissible(p.parts, m.i, m.j)
+            assert (m in nbrs) == definition_admissible(p.parts, m.i, m.j)
 
 
 class TestApply:
@@ -123,9 +151,10 @@ class TestWideGaps:
         p = from_pattern(gap_list, mults)
         blocked = {(i, i): "singleton_block" for i, m in enumerate(mults, 1) if m == 1}
         blocked.update({(i, i + 1): "unit_gap" for i, g in enumerate(gap_list, 1) if g == 1})
+        nbrs = neighbors(p)
         for move in move_grid(p):
             reason = blocked.get((move.i, move.j))
-            admissible = is_admissible(p, move)
+            admissible = move in nbrs
             assert admissible == (reason is None)
             assert admissible == definition_admissible(p.parts, move.i, move.j)
             if admissible:
@@ -177,24 +206,29 @@ class TestConjugateDelta:
         ((1, 1, 1, 1, 1), (1, 1), (1, 2)),
     ])
     def test_known_values(self, parts, move, expected):
-        assert conjugate_delta(Partition(parts), TransferMove(*move)) == expected
+        p, move = Partition(parts), TransferMove(*move)
+        assert column_delta(p, move) == expected
+        assert shifted_conjugate(p, *expected) == conjugate(apply_transfer(p, move)).parts
 
-    def test_rejects_inadmissible(self):
-        with pytest.raises(InadmissibleTransferError):
-            conjugate_delta(make_partition([7]), TransferMove(1, 1))
+    @given(partitions)
+    def test_rejects_inadmissible(self, p):
+        # The two obstructions are the moves whose column shift makes no new
+        # conjugate: across a unit gap the cell stays in its column, and off a
+        # singleton block it lands in a column longer than the one before.
+        nbrs = neighbors(p)
+        for move in move_grid(p):
+            if move not in nbrs:
+                shifted = shifted_conjugate(p, *column_delta(p, move))
+                assert shifted == conjugate(p).parts or list(shifted) != sorted(shifted)[::-1]
+                with pytest.raises(InadmissibleTransferError):
+                    apply_transfer(p, move)
 
     @given(partitions)
     def test_predicts_the_conjugate_of_the_result(self, p):
-        base = conjugate(p).parts
         for move, q in neighbors(p).items():
-            losing, gaining = conjugate_delta(p, move)
+            losing, gaining = column_delta(p, move)
             assert losing != gaining
-            vec = list(base) + [0] * (max(losing, gaining) - len(base))
-            vec[losing - 1] -= 1
-            vec[gaining - 1] += 1
-            while vec and vec[-1] == 0:
-                vec.pop()
-            assert tuple(vec) == conjugate(q).parts
+            assert shifted_conjugate(p, losing, gaining) == conjugate(q).parts
 
 
 class TestAdjacency:
@@ -241,21 +275,6 @@ class TestAdjacency:
                     expected = 1 if are_adjacent(p, q) else 0
                     assert reached.count(q) == expected
 
-
-class TestMoveParsing:
-    def test_roundtrip(self):
-        assert parse_move("2->3") == TransferMove(2, 3)
-        assert str(TransferMove(2, 3)) == "2->3"
-
-    def test_allows_surrounding_whitespace(self):
-        assert parse_move(" 2 -> 3 ") == TransferMove(2, 3)
-
-    @pytest.mark.parametrize("bad", [
-        "", "1", "1-2", "a->b", "1_0->2", "1->2_0", "+1->2", "-1->2", "1->-2", "\u0663->2",
-    ])
-    def test_rejects_garbage(self, bad):
-        with pytest.raises(ValueError, match=r"cannot parse move from .*, expected 'i->j'"):
-            parse_move(bad)
 
 
 class TestMoveValue:
