@@ -10,30 +10,49 @@ the clique classification exhaustive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, combinations
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .local_model import AdmissibilityGraph
 from .partitions import Partition, conjugate, enumerate_partitions
 from .transfers import TransferMove, are_adjacent, neighbors
 
 
-@dataclass(frozen=True)
 class SimpleGraph:
     """An undirected simple graph over an ordered tuple of opaque labels.
 
     Edges are stored as index pairs (a, b) with a < b into the label tuple.
+    Immutable, and equal and hashed as `(labels, edges)`; a plain class, not
+    a named tuple, because it keeps its adjacency in its instance dict once
+    built (`_adjacency`).
     """
 
     labels: tuple[Any, ...]
     edges: frozenset[tuple[int, int]]
 
-    def __post_init__(self) -> None:
-        for a, b in self.edges:
-            if not (0 <= a < b < len(self.labels)):
-                raise ValueError(f"edge ({a}, {b}) invalid for {len(self.labels)} vertices")
+    def __init__(self, labels: tuple[Any, ...], edges: frozenset[tuple[int, int]]) -> None:
+        for a, b in edges:
+            if not (0 <= a < b < len(labels)):
+                raise ValueError(f"edge ({a}, {b}) invalid for {len(labels)} vertices")
+        self.__dict__.update(labels=labels, edges=edges)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.labels, self.edges) == (other.labels, other.edges)
+
+    def __hash__(self) -> int:
+        return hash((self.labels, self.edges))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(labels={self.labels!r}, edges={self.edges!r})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @property
     def vertex_count(self) -> int:
@@ -140,8 +159,7 @@ def line_graph(B: AdmissibilityGraph) -> SimpleGraph:
     return _relation_graph(B.sorted_edges(), _share_corner)
 
 
-@dataclass(frozen=True)
-class PairCheck:
+class PairCheck(NamedTuple):
     """One violating pair: adjacency of the targets disagreed with corner sharing."""
 
     first: TransferMove
@@ -150,8 +168,7 @@ class PairCheck:
     share_corner: bool
 
 
-@dataclass(frozen=True)
-class NeighborhoodCheck:
+class NeighborhoodCheck(NamedTuple):
     """The observed neighborhood of a partition next to the corner-sharing graph
     of its moves, which is the line graph of the moves' bipartite graph."""
 
@@ -237,8 +254,7 @@ class CliqueClassificationError(ValueError):
     """The moves share no corner, which never happens for a genuine clique."""
 
 
-@dataclass(frozen=True)
-class CliqueClassification:
+class CliqueClassification(NamedTuple):
     """Which corner a clique of moves has in common.
 
     kind is "star" (common removable corner), "top" (common addable corner),

@@ -10,41 +10,45 @@ degree, the per-corner degrees, and the largest clique through the partition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .partitions import Partition, gaps
 from .transfers import TransferMove
 
 
-@dataclass(frozen=True)
-class LocalType:
-    """Support size with singleton-block and unit-gap indicator vectors.
-
-    alpha[k] is 1 when block k+1 has multiplicity one; beta[k] is 1 when the
-    gap after block k+1 equals one.  Both vectors have length t.
-    """
-
+class _LocalTypeFields(NamedTuple):
     t: int
     alpha: tuple[int, ...]
     beta: tuple[int, ...]
 
-    def __post_init__(self) -> None:
+
+class LocalType(_LocalTypeFields):
+    """Support size with singleton-block and unit-gap indicator vectors.
+
+    alpha[k] is 1 when block k+1 has multiplicity one; beta[k] is 1 when the
+    gap after block k+1 equals one.  Both vectors have length t.  A named
+    tuple, so it compares, hashes and prints as its fields; `__new__`
+    validates them.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, t: int, alpha: tuple[int, ...], beta: tuple[int, ...]) -> LocalType:
         # bool and float compare equal to ints but print otherwise in JSON.
-        if type(self.t) is not int or self.t < 1:
-            raise ValueError(f"support size must be a positive int, got {self.t!r}")
+        if type(t) is not int or t < 1:
+            raise ValueError(f"support size must be a positive int, got {t!r}")
         # A list would compare unequal to the same tuple and could not be hashed.
-        if type(self.alpha) is not tuple or type(self.beta) is not tuple:
+        if type(alpha) is not tuple or type(beta) is not tuple:
+            raise ValueError(f"indicator vectors must be tuples, got {alpha!r} and {beta!r}")
+        if len(alpha) != t or len(beta) != t:
             raise ValueError(
-                f"indicator vectors must be tuples, got {self.alpha!r} and {self.beta!r}"
+                f"indicator vectors must have length {t}, "
+                f"got {len(alpha)} and {len(beta)}"
             )
-        if len(self.alpha) != self.t or len(self.beta) != self.t:
-            raise ValueError(
-                f"indicator vectors must have length {self.t}, "
-                f"got {len(self.alpha)} and {len(self.beta)}"
-            )
-        bits = self.alpha + self.beta
+        bits = alpha + beta
         if any(type(bit) is not int or bit not in (0, 1) for bit in bits):
             raise ValueError(f"indicator entries must be the ints 0 or 1, got {bits}")
+        return super().__new__(cls, t, alpha, beta)
 
     @property
     def singleton_count(self) -> int:
@@ -58,8 +62,7 @@ class LocalType:
         return {"t": self.t, "alpha": list(self.alpha), "beta": list(self.beta)}
 
 
-@dataclass(frozen=True)
-class AdmissibilityGraph:
+class AdmissibilityGraph(NamedTuple):
     """Bipartite graph of admissible moves: left vertices 1..t, right 1..t+1.
 
     Each edge is the move i->j between removable corner i and addable corner j.

@@ -19,12 +19,16 @@ returns that partition's failures; it counts nothing and times nothing:
 
 `run_all` is the only loop.  It hands each observation to the four checks
 before it makes the next, so a sweep holds one partition's observation at a
-time, and it tallies what each check examined, failed and took.  With
-`--degrees-only` it calls `verify_degrees` on each enumerated partition and
-its `neighbors`, and nothing is observed.
+time, and it tallies what each check examined, failed and took.  It reads
+each partition's local type once, off the block form and never off the
+observed moves, and hands it to the three checks that predict from it
+(degrees, cliques, type_determinacy); no check is timed for that read.
+With `--degrees-only` it calls `verify_degrees` on each enumerated partition,
+its local type and its `neighbors`, and nothing is observed.
 
-Only the brute-force observation is shared, never a prediction.  Sharing it
-removes no independent route: the checks used to observe each partition on
+Only the brute-force observation and the type the predictions start from
+are shared, never a prediction.  Sharing the observation removes no
+independent route: the checks used to observe each partition on
 their own, but through the same `neighbors` and `are_adjacent` code.  G_n is
 built without either, so the degree in G_n stays a route of its own.
 
@@ -39,8 +43,7 @@ Each failure records the partition, both values and a `replay` CLI command.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .graphs import (
     CliqueClassificationError,
@@ -63,14 +66,29 @@ from .partitions import Partition, enumerate_partitions
 from .transfers import TransferMove, are_adjacent, neighbors
 
 
-@dataclass
-class CheckResult:
+class _Record:
+    """A mutable record, equal to another of its class with the same fields,
+    and printed as `Class(field=value, ...)` in the order they were set."""
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{type(self).__name__}({fields})"
+
+
+class CheckResult(_Record):
     """Outcome of one verifier: how many partitions it saw and what failed."""
 
-    name: str
-    examined: int
-    failures: list[dict] = field(default_factory=list)
-    ms: float = 0.0
+    def __init__(self, name: str, examined: int, failures: list[dict] | None = None,
+                 ms: float = 0.0) -> None:
+        self.name = name
+        self.examined = examined
+        self.failures = [] if failures is None else failures
+        self.ms = ms
 
     @property
     def passed(self) -> bool:
@@ -80,10 +98,10 @@ class CheckResult:
         return {"name": self.name, "examined": self.examined, "failures": self.failures}
 
 
-@dataclass
-class VerificationReport:
-    n_range: tuple[int, int]
-    checks: list[CheckResult]
+class VerificationReport(_Record):
+    def __init__(self, n_range: tuple[int, int], checks: list[CheckResult]) -> None:
+        self.n_range = n_range
+        self.checks = checks
 
     @property
     def passed(self) -> bool:
@@ -112,8 +130,7 @@ def _failure(check: str, p: Partition, detail: str, degrees_only: bool = False) 
     return {"check": check, "n": p.weight, "partition": str(p), "detail": detail, "replay": replay}
 
 
-@dataclass(frozen=True)
-class Observation:
+class Observation(NamedTuple):
     """One partition of weight n as brute force sees it, made once for all four checks.
 
     `neighborhood` holds its moves, their targets and the graph the targets
@@ -153,15 +170,15 @@ def observe(n: int) -> Iterator[Observation]:
         build_ms = 0.0
 
 
-def verify_degrees(p: Partition, targets: Iterable[Partition],
+def verify_degrees(p: Partition, T: LocalType, targets: Iterable[Partition],
                    graph_degree: int | None = None) -> list[dict]:
-    """Degree check of one partition.
+    """Degree check of one partition of local type T.
 
     Compares the count of its distinct targets with the closed formula and,
     when given, with its degree in G_n.  `verify --degrees-only` passes
     `neighbors(p).values()` and no graph degree.
     """
-    values = {"neighbor_count": len(set(targets) - {p}), "formula": degree_formula(local_type(p))}
+    values = {"neighbor_count": len(set(targets) - {p}), "formula": degree_formula(T)}
     if graph_degree is not None:
         values["graph_degree"] = graph_degree
     if len(set(values.values())) == 1:
@@ -191,8 +208,8 @@ def verify_neighborhoods(o: Observation) -> list[dict]:
     return failures
 
 
-def verify_cliques(o: Observation) -> list[dict]:
-    """Clique check of one observation.
+def verify_cliques(o: Observation, T: LocalType) -> list[dict]:
+    """Clique check of one observation, of a partition of local type T.
 
     Every maximal clique found by search must classify by a shared corner,
     and one plus the largest clique size must match the closed-form clique
@@ -208,7 +225,6 @@ def verify_cliques(o: Observation) -> list[dict]:
                 "cliques", p, f"unclassifiable clique {[str(m) for m in clique]}: {exc}",
             ))
     searched = 1 + max((len(clique) for clique in cliques), default=0)
-    T = local_type(p)
     formula = local_clique_number(T)
     if searched != formula:
         failures.append(_failure(
@@ -249,8 +265,8 @@ def _type_prediction(T: LocalType) -> dict:
     }
 
 
-def verify_type_determinacy(o: Observation, predictions: dict) -> list[dict]:
-    """A partition must expose the local data its local type alone predicts.
+def verify_type_determinacy(o: Observation, T: LocalType, predictions: dict) -> list[dict]:
+    """A partition must expose the local data its local type T alone predicts.
 
     Checking every partition, of any weight, against its type's model means,
     by transitivity, that all partitions of a type agree with each other,
@@ -259,7 +275,6 @@ def verify_type_determinacy(o: Observation, predictions: dict) -> list[dict]:
     """
     p = o.partition
     signature = _local_signature(o.neighborhood, o.cliques)
-    T = local_type(p)
     if T not in predictions:
         predictions[T] = _type_prediction(T)
     predicted = predictions[T]
@@ -276,8 +291,8 @@ def verify_type_determinacy(o: Observation, predictions: dict) -> list[dict]:
 def run_all(n_max: int, degrees_only: bool = False) -> VerificationReport:
     """Run every check on all partitions of weights 1..n_max and tally one report.
 
-    This is the only loop: it observes each partition once and hands the
-    observation to the four checks before making the next.  Each check's
+    This is the only loop: it observes each partition once, reads its local
+    type once, and hands both to the four checks before making the next.  Each check's
     time is its own plus the part of the observation charged to it.  With
     degrees_only, only the neighbor count versus formula comparison runs on
     each enumerated partition (no graph build, no pair tests); that mode
@@ -287,22 +302,22 @@ def run_all(n_max: int, degrees_only: bool = False) -> VerificationReport:
         raise ValueError(f"weight bound must be at least one, got {n_max}")
     weights = range(1, n_max + 1)
     if degrees_only:
-        checks = [lambda p: verify_degrees(p, neighbors(p).values())]
-        seen = ((p, {}) for n in weights for p in enumerate_partitions(n))
+        checks = [lambda p, T: verify_degrees(p, T, neighbors(p).values())]
+        seen = ((p, local_type(p), {}) for n in weights for p in enumerate_partitions(n))
     else:
         predictions: dict[LocalType, dict] = {}
         checks = [
-            lambda o: verify_degrees(o.partition, o.neighborhood.targets, o.graph_degree),
-            verify_neighborhoods,
+            lambda o, T: verify_degrees(o.partition, T, o.neighborhood.targets, o.graph_degree),
+            lambda o, T: verify_neighborhoods(o),
             verify_cliques,
-            lambda o: verify_type_determinacy(o, predictions),
+            lambda o, T: verify_type_determinacy(o, T, predictions),
         ]
-        seen = ((o, o.ms) for n in weights for o in observe(n))
+        seen = ((o, local_type(o.partition), o.ms) for n in weights for o in observe(n))
     totals = [CheckResult(name, 0) for name in CHECKS[:len(checks)]]
-    for subject, charged in seen:
+    for subject, T, charged in seen:
         for total, check in zip(totals, checks):
             start = time.perf_counter()
-            total.failures += check(subject)
+            total.failures += check(subject, T)
             total.ms += (time.perf_counter() - start) * 1000 + charged.get(total.name, 0.0)
             total.examined += 1
     return VerificationReport((1, n_max), totals)

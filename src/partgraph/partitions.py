@@ -17,16 +17,43 @@ number in the millions costs O(t) until then.  Each partition keeps its
 conjugate once computed.  The trusted constructor is only for partitions
 derived from an already valid one; `Partition(...)`, `make_partition` and
 `parse_partition` validate every part, so input is still checked at the edge.
+
+`Partition` is a plain class with written-out `__eq__`, `__hash__` and
+`__repr__`, and a `__setattr__` and `__delattr__` that refuse every change, so
+importing the package does not load `dataclasses` (and the `inspect`, `ast`
+and `dis` it pulls in) nor run its code generator: that was about 40% of the
+time `import partgraph.cli` took, which every shell call pays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Iterator
 
 
-@dataclass(frozen=True)
+class _PartsFromBlocks:
+    """`Partition.parts` for an instance made by `Partition._from_blocks`.
+
+    A non-data descriptor, so a `parts` value in the instance dict shadows it:
+    a validated instance never reaches it.  A trusted one expands its blocks
+    on the first read and keeps the result in its dict.  A `__getattr__`
+    fallback would take every attribute of every `Partition` off the
+    interpreter's specialised lookup; this takes off only `parts`.
+    """
+
+    def __get__(
+        self, instance: Partition | None, owner: type | None = None
+    ) -> tuple[int, ...] | _PartsFromBlocks:
+        if instance is None:
+            return self
+        blocks = instance.__dict__.get("blocks")
+        if blocks is None:
+            raise AttributeError("parts")
+        parts = tuple(chain.from_iterable((size,) * mult for size, mult in blocks))
+        instance.__dict__["parts"] = parts
+        return parts
+
+
 class Partition:
     """A partition of a positive integer.
 
@@ -34,10 +61,22 @@ class Partition:
     :func:`make_partition` to sort arbitrary input.  Instances are immutable
     and hashable, so they can serve as graph vertices and dict keys.
     Besides `parts`, each instance holds `blocks`, the block form, and
-    `weight`, the integer being partitioned.
+    `weight`, the integer being partitioned.  Equality and the hash are
+    those of `(parts,)`.
+
+    `__init__` stores the parts and calls `__post_init__`, which validates
+    them and stores the block form and the weight.  The validating step keeps
+    the name it had when this class was a dataclass, and `__init__` looks it
+    up on the instance, because callers wrap it under that name: the
+    `partitions.Partition` probe in `bench/tracer.py` and the tests count
+    validated constructions through it.
     """
 
-    parts: tuple[int, ...]
+    parts: tuple[int, ...] = _PartsFromBlocks()  # type: ignore[assignment]
+
+    def __init__(self, parts: tuple[int, ...]) -> None:
+        self.__dict__["parts"] = parts
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         parts = self.parts
@@ -62,6 +101,23 @@ class Partition:
         blocks.append((size, mult))
         self.__dict__["blocks"] = tuple(blocks)
         self.__dict__["weight"] = weight + size * mult
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.parts == other.parts
+
+    def __hash__(self) -> int:
+        return hash((self.parts,))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(parts={self.parts!r})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @classmethod
     def _from_blocks(cls, blocks: tuple[tuple[int, int], ...]) -> Partition:
@@ -89,33 +145,6 @@ class Partition:
 
     def __str__(self) -> str:
         return ",".join(str(part) for part in self.parts)
-
-
-class _PartsFromBlocks:
-    """`Partition.parts` for an instance made by `Partition._from_blocks`.
-
-    A non-data descriptor, so a `parts` value in the instance dict shadows it:
-    a validated instance never reaches it.  A trusted one expands its blocks
-    on the first read and keeps the result in its dict.  A `__getattr__`
-    fallback would take every attribute of every `Partition` off the
-    interpreter's specialised lookup; this takes off only `parts`.
-    """
-
-    def __get__(
-        self, instance: Partition | None, owner: type | None = None
-    ) -> tuple[int, ...] | _PartsFromBlocks:
-        if instance is None:
-            return self
-        blocks = instance.__dict__.get("blocks")
-        if blocks is None:
-            raise AttributeError("parts")
-        parts = tuple(chain.from_iterable((size,) * mult for size, mult in blocks))
-        instance.__dict__["parts"] = parts
-        return parts
-
-
-# Set after the decorator, so that the dataclass does not take it for a default.
-Partition.parts = _PartsFromBlocks()  # type: ignore[assignment]
 
 
 def make_partition(parts: Iterable[int]) -> Partition:

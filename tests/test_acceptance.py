@@ -70,7 +70,8 @@ def test_criterion_2_degree_agreement_to_weight_fourteen():
     for n in range(1, 15):
         problems.extend(
             f for o in observe(n)
-            for f in verify_degrees(o.partition, o.neighborhood.targets, o.graph_degree)
+            for f in verify_degrees(o.partition, local_type(o.partition),
+                                    o.neighborhood.targets, o.graph_degree)
         )
     elapsed = time.perf_counter() - start
     if elapsed >= 30:
@@ -93,7 +94,9 @@ def test_criterion_4_clique_structure_to_weight_twelve():
     start = time.perf_counter()
     problems = []
     for n in range(1, 13):
-        problems.extend(f for o in observe(n) for f in verify_cliques(o))
+        problems.extend(
+            f for o in observe(n) for f in verify_cliques(o, local_type(o.partition))
+        )
     elapsed = time.perf_counter() - start
     if elapsed >= 60:
         problems.append(f"took {elapsed:.1f}s, budget 60s")
@@ -104,7 +107,10 @@ def test_criterion_5_type_determinacy_to_weight_twelve():
     predictions = {}
     problems = []
     for n in range(1, 13):
-        problems.extend(f for o in observe(n) for f in verify_type_determinacy(o, predictions))
+        problems.extend(
+            f for o in observe(n)
+            for f in verify_type_determinacy(o, local_type(o.partition), predictions)
+        )
     report(5, "equal local types give equal local data up to weight 12", problems)
 
 

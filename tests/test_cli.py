@@ -359,3 +359,17 @@ class TestSharedParser:
         for path in written:
             k = int(path.stem.rsplit("_", 1)[1])
             assert path.read_text() == expected[k], path.name
+
+
+class TestImportCost:
+    def test_import_loads_no_code_generation_modules(self):
+        # A shell call pays for every module the import loads.  `dataclasses`
+        # alone pulls in `inspect`, `ast` and `dis`; none of them is needed.
+        # With -S no site-packages module can load them first.
+        probe = ("import sys, partgraph.cli; "
+                 "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & set(sys.modules)))")
+        found = subprocess.run(
+            [sys.executable, "-S", "-c", probe], env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True, text=True, check=True,
+        )
+        assert found.stdout == "[]\n"

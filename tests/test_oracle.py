@@ -37,16 +37,19 @@ def observe_up_to(n_max):
 
 
 def observed_degrees(o):
-    return verify_degrees(o.partition, o.neighborhood.targets, o.graph_degree)
+    return verify_degrees(o.partition, local_type(o.partition), o.neighborhood.targets,
+                          o.graph_degree)
 
 
 def enumerated_degrees(n):
-    return [f for p in enumerate_partitions(n) for f in verify_degrees(p, neighbors(p).values())]
+    return [f for p in enumerate_partitions(n)
+            for f in verify_degrees(p, local_type(p), neighbors(p).values())]
 
 
 def type_failures(observed):
     predictions = {}
-    return [f for o in observed for f in verify_type_determinacy(o, predictions)]
+    return [f for o in observed
+            for f in verify_type_determinacy(o, local_type(o.partition), predictions)]
 
 
 class TestSingleWeightVerifiers:
@@ -66,7 +69,7 @@ class TestSingleWeightVerifiers:
     def test_cliques_weight_eight(self):
         observed = list(observe(8))
         assert len(observed) == 22
-        assert [f for o in observed for f in verify_cliques(o)] == []
+        assert [f for o in observed for f in verify_cliques(o, local_type(o.partition))] == []
 
     def test_type_determinacy_weight_eight(self):
         observed = observe_up_to(8)
@@ -155,7 +158,7 @@ class TestFailureDetails:
     def test_clique_number_mismatch_detail(self, monkeypatch):
         formula = partgraph.oracle.local_clique_number
         monkeypatch.setattr(partgraph.oracle, "local_clique_number", lambda T: formula(T) + 1)
-        failures = [f for o in observe(4) for f in verify_cliques(o)]
+        failures = [f for o in observe(4) for f in verify_cliques(o, local_type(o.partition))]
         expected = []
         for partition, searched in [("4", 2), ("3,1", 3), ("2,2", 3), ("2,1,1", 3), ("1,1,1,1", 2)]:
             expected += [
