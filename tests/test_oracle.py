@@ -216,17 +216,17 @@ class TestFailureDetails:
         checks = ("verify_degrees", "verify_neighborhoods", "verify_cliques",
                   "verify_type_determinacy")
         names = ("are_adjacent", "neighbors", "apply_transfer", "induced_neighborhood",
-                 "observe", *checks)
+                 "observe", "local_type", *checks)
         calls = self.count_calls(monkeypatch, modules, names)
         assert run_all(8).passed
         # One neighbors call and one induced neighborhood per partition; 363
         # neighbor-pair tests plus one test per move's target, 218 = the sum
-        # of the degrees; apply_transfer once per move; each check once per
-        # partition; one observe per weight.
+        # of the degrees; apply_transfer once per move; each check and one
+        # local type read once per partition; one observe per weight.
         assert calls == {
             "neighbors": 66, "induced_neighborhood": 66,
             "are_adjacent": 363 + 218, "apply_transfer": 218, "observe": 8,
-            **dict.fromkeys(checks, 66),
+            "local_type": 66, **dict.fromkeys(checks, 66),
         }
         calls.clear()
         for n in range(1, 9):
@@ -234,9 +234,10 @@ class TestFailureDetails:
         assert calls == {}
         calls.clear()
         assert run_all(8, degrees_only=True).passed
-        # One degree check and one neighbors call per enumerated partition,
-        # and nothing observed.
-        assert calls == {"verify_degrees": 66, "neighbors": 66, "apply_transfer": 218}
+        # One degree check, one local type read and one neighbors call per
+        # enumerated partition, and nothing observed.
+        assert calls == {"verify_degrees": 66, "local_type": 66, "neighbors": 66,
+                         "apply_transfer": 218}
 
 
 class TestRunAll:

@@ -74,18 +74,6 @@ MUTABLE = [
      "failures=[{'n': 2}], ms=1.5)])"),
 ]
 
-ALL = [(cls, make, text) for cls, make, text, _ in FROZEN] + MUTABLE
-ids = [cls.__name__ for cls, *_ in ALL]
-frozen_ids = [cls.__name__ for cls, *_ in FROZEN]
-
-
-def round_trips(value):
-    return [copy.copy(value), copy.deepcopy(value)] + [
-        pickle.loads(pickle.dumps(value, protocol))
-        for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
-    ]
-
-
 # The fields each repr shows, in its order.
 FIELDS = {
     Partition: ("parts",),
@@ -99,6 +87,17 @@ FIELDS = {
     CheckResult: ("name", "examined", "failures", "ms"),
     VerificationReport: ("n_range", "checks"),
 }
+
+ALL = [(cls, make, text) for cls, make, text, _ in FROZEN] + MUTABLE
+ids = [cls.__name__ for cls, *_ in ALL]
+frozen_ids = [cls.__name__ for cls, *_ in FROZEN]
+
+
+def round_trips(value):
+    return [copy.copy(value), copy.deepcopy(value)] + [
+        pickle.loads(pickle.dumps(value, protocol))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+    ]
 
 
 @pytest.mark.parametrize("cls, make, text", ALL, ids=ids)
