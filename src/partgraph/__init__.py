@@ -6,6 +6,8 @@ moves are admissible, the bipartite corner graph a partition's block pattern
 determines, closed forms for degrees and clique numbers, and it can replay
 every closed form against brute force over all partitions up to a weight
 bound.
+
+The names imported below are the public API.
 """
 
 from .graphs import (
@@ -58,44 +60,3 @@ from .transfers import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AdmissibilityGraph",
-    "CheckResult",
-    "CliqueClassification",
-    "CliqueClassificationError",
-    "InadmissibleTransferError",
-    "LocalType",
-    "NeighborhoodCheck",
-    "PairCheck",
-    "Partition",
-    "SimpleGraph",
-    "TransferMove",
-    "VerificationReport",
-    "admissibility_graph",
-    "apply_transfer",
-    "are_adjacent",
-    "build_partition_graph",
-    "classify_clique",
-    "cliques_through",
-    "conjugate",
-    "degree_formula",
-    "enumerate_partitions",
-    "gaps",
-    "induced_neighborhood",
-    "line_graph",
-    "local_clique_number",
-    "local_dimension",
-    "local_type",
-    "make_partition",
-    "neighbors",
-    "observe",
-    "parse_partition",
-    "run_all",
-    "side_degrees",
-    "verify_cliques",
-    "verify_degrees",
-    "verify_line_graph_theorem",
-    "verify_neighborhoods",
-    "verify_type_determinacy",
-]

@@ -193,7 +193,7 @@ def _json(payload: object) -> str:
 def cmd_partitions(args: argparse.Namespace) -> tuple[str, int]:
     found = enumerate_partitions(args.n)
     if args.format == "json":
-        return _json([list(p.parts) for p in found]), 0
+        return _json([p.to_json() for p in found]), 0
     return "".join(f"{p}\n" for p in found), 0
 
 
@@ -204,7 +204,7 @@ def cmd_local(args: argparse.Namespace) -> tuple[str, int]:
     left, right = side_degrees(T)
     if args.format == "json":
         return _json({
-            "partition": list(p.parts),
+            "partition": p.to_json(),
             "weight": p.weight,
             "type": T.to_json(),
             "admissibility_graph": B.to_json(),
@@ -245,17 +245,16 @@ def cmd_graph(args: argparse.Namespace) -> tuple[str, int]:
 
 def cmd_neighborhood(args: argparse.Namespace) -> tuple[str, int]:
     p = args.partition
-    n = p.weight
-    check = verify_line_graph_theorem(n, p)
+    check = verify_line_graph_theorem(p)
     observed, predicted = check.neighborhood, check.corners
     if args.format == "json":
         return _json({
-            "partition": list(p.parts),
-            "weight": n,
+            "partition": p.to_json(),
+            "weight": p.weight,
             "neighborhood": observed.to_json(),
             "line_graph": predicted.to_json(),
             "bijection": [
-                {"move": move.to_json(), "neighbor": list(target.parts)}
+                {"move": move.to_json(), "neighbor": target.to_json()}
                 for move, target in zip(check.moves, check.targets)
             ],
             "pairs_checked": check.pairs_checked,
@@ -271,7 +270,7 @@ def cmd_neighborhood(args: argparse.Namespace) -> tuple[str, int]:
             ],
             "verified": check.verified,
         }), 0
-    lines = [f"partition: {p}  (weight {n})", f"neighbors: {len(check.targets)}"]
+    lines = [f"partition: {p}  (weight {p.weight})", f"neighbors: {len(check.targets)}"]
     for move, target in zip(check.moves, check.targets):
         lines.append(f"  {move}  =>  {target}")
     lines.append(f"neighborhood: {observed.vertex_count} vertices, {observed.edge_count} edges")
@@ -295,7 +294,7 @@ def cmd_cliques(args: argparse.Namespace) -> tuple[str, int]:
     classified = [(clique, classify_clique(clique)) for clique in found]
     if args.format == "json":
         return _json({
-            "partition": list(p.parts),
+            "partition": p.to_json(),
             "clique_count": len(found),
             "local_clique_number": local_clique_number(local_type(p)),
             "cliques": [

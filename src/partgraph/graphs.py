@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import accumulate, combinations
-from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .local_model import AdmissibilityGraph
 from .partitions import Partition, conjugate, enumerate_partitions
@@ -94,20 +94,17 @@ class SimpleGraph:
 
 
 def label_json(label: Any) -> Any:
-    if isinstance(label, Partition):
-        return list(label.parts)
-    if isinstance(label, TransferMove):
+    if isinstance(label, (Partition, TransferMove)):
         return label.to_json()
     if isinstance(label, tuple):
         return list(label)
     return label
 
 
-def _relation_graph(labels: Iterable[Any], related: Callable[[Any, Any], bool]) -> SimpleGraph:
-    """The graph on the labels, in their given order, joining every related pair."""
-    labels = tuple(labels)
-    pairs = combinations(enumerate(labels), 2)
-    return SimpleGraph(labels, frozenset((a, b) for (a, x), (b, y) in pairs if related(x, y)))
+def _relation_edges(items: Sequence, related: Callable[[Any, Any], bool]) -> frozenset[tuple[int, int]]:
+    """The index pairs (a, b), a < b, of every related pair of the items."""
+    pairs = combinations(enumerate(items), 2)
+    return frozenset((a, b) for (a, x), (b, y) in pairs if related(x, y))
 
 
 def _share_corner(first: TransferMove, second: TransferMove) -> bool:
@@ -149,14 +146,14 @@ def induced_neighborhood(nbrs: Mapping[TransferMove, Partition]) -> SimpleGraph:
     Adjacency comes from `are_adjacent` on every pair of targets, so targets
     of different weights are rejected.
     """
-    moves = sorted(nbrs)
-    induced = _relation_graph((nbrs[move] for move in moves), are_adjacent)
-    return SimpleGraph(tuple(moves), induced.edges)
+    moves = tuple(sorted(nbrs))
+    return SimpleGraph(moves, _relation_edges([nbrs[move] for move in moves], are_adjacent))
 
 
 def line_graph(B: AdmissibilityGraph) -> SimpleGraph:
     """Vertices are the edges of B, which are moves; adjacency is sharing an endpoint."""
-    return _relation_graph(B.sorted_edges(), _share_corner)
+    moves = tuple(B.sorted_edges())
+    return SimpleGraph(moves, _relation_edges(moves, _share_corner))
 
 
 class PairCheck(NamedTuple):
@@ -195,17 +192,15 @@ class NeighborhoodCheck(NamedTuple):
         return not self.violations
 
 
-def verify_line_graph_theorem(n: int, p: Partition) -> NeighborhoodCheck:
-    """Check every pair of neighbors of p: adjacent in the weight-n transfer
-    graph exactly when their moves share a removable or an addable corner.
+def verify_line_graph_theorem(p: Partition) -> NeighborhoodCheck:
+    """Check every pair of neighbors of p: adjacent in the transfer graph of
+    p's weight exactly when their moves share a removable or an addable corner.
 
     The two sides are computed independently: adjacency comes from the
     induced neighborhood, which applies the conjugate-coordinate test to the
     actual neighbor partitions; corner sharing looks only at the move labels,
     through the line graph of the bipartite graph the moves form.
     """
-    if p.weight != n:
-        raise ValueError(f"{p} has weight {p.weight}, not {n}")
     nbrs = neighbors(p)
     observed = induced_neighborhood(nbrs)
     moves = observed.labels

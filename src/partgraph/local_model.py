@@ -10,7 +10,7 @@ degree, the per-corner degrees, and the largest clique through the partition.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .partitions import Partition, gaps
 from .transfers import TransferMove
@@ -28,7 +28,8 @@ class LocalType(_LocalTypeFields):
     alpha[k] is 1 when block k+1 has multiplicity one; beta[k] is 1 when the
     gap after block k+1 equals one.  Both vectors have length t.  A named
     tuple, so it compares, hashes and prints as its fields; `__new__`
-    validates them.
+    validates them.  `_make` goes through `__new__` too, and so do
+    `_replace` and `copy.replace`, which build their result with `_make`.
     """
 
     __slots__ = ()
@@ -49,6 +50,10 @@ class LocalType(_LocalTypeFields):
         if any(type(bit) is not int or bit not in (0, 1) for bit in bits):
             raise ValueError(f"indicator entries must be the ints 0 or 1, got {bits}")
         return super().__new__(cls, t, alpha, beta)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> LocalType:
+        return cls(*iterable)
 
     @property
     def singleton_count(self) -> int:

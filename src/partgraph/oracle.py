@@ -161,7 +161,7 @@ def observe(n: int) -> Iterator[Observation]:
     build_ms = (time.perf_counter() - start) * 1000
     for idx, p in enumerate(graph.labels):
         start = time.perf_counter()
-        check = verify_line_graph_theorem(n, p)
+        check = verify_line_graph_theorem(p)
         compared = time.perf_counter()
         cliques = cliques_through(check.neighborhood)
         ms = {"degrees": build_ms, "neighborhoods": (compared - start) * 1000,

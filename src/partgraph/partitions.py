@@ -137,14 +137,12 @@ class Partition:
         """Number of distinct part sizes."""
         return len(self.blocks)
 
-    def block_sizes(self) -> tuple[int, ...]:
-        return tuple(size for size, _ in self.blocks)
-
-    def multiplicities(self) -> tuple[int, ...]:
-        return tuple(mult for _, mult in self.blocks)
-
     def __str__(self) -> str:
         return ",".join(str(part) for part in self.parts)
+
+    def to_json(self) -> list[int]:
+        """The JSON form of a partition: its parts, largest first."""
+        return list(self.parts)
 
 
 def make_partition(parts: Iterable[int]) -> Partition:
@@ -201,7 +199,7 @@ def gaps(p: Partition) -> tuple[int, ...]:
     All gaps are >= 1 and the size of block i is the suffix sum of the gaps
     from i on.
     """
-    sizes = p.block_sizes() + (0,)
+    sizes = [size for size, _ in p.blocks] + [0]
     return tuple(sizes[k] - sizes[k + 1] for k in range(len(sizes) - 1))
 
 

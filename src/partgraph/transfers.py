@@ -65,9 +65,11 @@ _OBSTRUCTIONS = {
 
 def _require_admissible(p: Partition, move: TransferMove) -> None:
     t = p.support_size
-    if not 1 <= move.i <= t:
+    # bool and float compare equal to ints, but a bool would index as 0 or 1
+    # and a float would not index at all.
+    if type(move.i) is not int or not 1 <= move.i <= t:
         raise ValueError(f"removable index {move.i} out of range 1..{t} for {p}")
-    if not 1 <= move.j <= t + 1:
+    if type(move.j) is not int or not 1 <= move.j <= t + 1:
         raise ValueError(f"addable index {move.j} out of range 1..{t + 1} for {p}")
     reason = _obstruction(p, move)
     if reason:

@@ -23,7 +23,7 @@ from partgraph import (
     neighbors,
     verify_line_graph_theorem,
 )
-from partgraph.graphs import _maximal_cliques, _relation_graph
+from partgraph.graphs import _maximal_cliques, _relation_edges
 
 from oracles import adjacent_by_cells, naive_maximal_cliques, partition_count
 
@@ -114,7 +114,8 @@ class TestPartitionGraph:
         # The pairwise build it replaced; equal graphs print the same bytes.
         for n in range(1, 15):
             g = build_partition_graph(n)
-            assert g == _relation_graph(enumerate_partitions(n), are_adjacent), n
+            labels = enumerate_partitions(n)
+            assert g == SimpleGraph(tuple(labels), _relation_edges(labels, are_adjacent)), n
 
     @pytest.mark.parametrize("n, edges", [(14, 525), (16, 1033), (18, 1948), (20, 3545)])
     def test_edge_counts(self, n, edges):
@@ -143,6 +144,18 @@ class TestInducedNeighborhood:
         g = induced_neighborhood(neighbors(make_partition([4, 4, 2, 2])))
         assert g.vertex_count == 6
         assert g.edge_count == 9
+
+    def test_builds_one_graph(self, monkeypatch):
+        built = []
+        init = SimpleGraph.__init__
+
+        def counting_init(self, labels, edges):
+            built.append(labels)
+            init(self, labels, edges)
+
+        monkeypatch.setattr(SimpleGraph, "__init__", counting_init)
+        g = induced_neighborhood(neighbors(make_partition([4, 4, 2, 2])))
+        assert built == [g.labels]
 
     def test_weight_mismatch_rejected(self):
         # Targets of weights 4 and 6: the pair test refuses them.
@@ -178,20 +191,20 @@ class TestLineGraph:
 
 class TestLineGraphTheoremCheck:
     def test_two_fat_blocks(self):
-        check = verify_line_graph_theorem(12, make_partition([4, 4, 2, 2]))
+        check = verify_line_graph_theorem(make_partition([4, 4, 2, 2]))
         assert check.pairs_checked == 15
         assert check.adjacent_pairs == 9
         assert check.verified
         assert check.violations == ()
 
     def test_vacuous_for_single_neighbor(self):
-        check = verify_line_graph_theorem(9, make_partition([9]))
+        check = verify_line_graph_theorem(make_partition([9]))
         assert check.pairs_checked == 0
         assert check.verified
 
     def test_all_weight_eight(self):
         for p in enumerate_partitions(8):
-            check = verify_line_graph_theorem(8, p)
+            check = verify_line_graph_theorem(p)
             assert check.verified
             assert check.neighborhood == induced_neighborhood(neighbors(p))
             assert check.corners == line_graph(admissibility_graph(local_type(p)))
@@ -208,16 +221,12 @@ class TestLineGraphTheoremCheck:
     ])
     def test_violations_in_sorted_move_order(self, monkeypatch, adjacent, share_corner, flagged):
         monkeypatch.setattr(partgraph.graphs, "are_adjacent", adjacent)
-        check = verify_line_graph_theorem(12, make_partition([4, 4, 2, 2]))
+        check = verify_line_graph_theorem(make_partition([4, 4, 2, 2]))
         assert check.violations == tuple(
             PairCheck(move(a), move(b), not share_corner, share_corner)
             for a, b in (pair.split("/") for pair in flagged.split())
         )
         assert not check.verified
-
-    def test_weight_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            verify_line_graph_theorem(4, make_partition([3, 3]))
 
 
 class TestMaximalCliques:

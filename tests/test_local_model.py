@@ -1,3 +1,4 @@
+import copy
 from collections import Counter
 
 import pytest
@@ -64,8 +65,17 @@ class TestLocalType:
         dict(t=2, alpha=(1, 0), beta=[0, 1]),
     ])
     def test_rejects_malformed(self, bad):
-        with pytest.raises(ValueError):
-            LocalType(**bad)
+        valid = LocalType(1, (0,), (0,))
+        builds = [
+            lambda: LocalType(**bad),
+            lambda: LocalType._make((bad["t"], bad["alpha"], bad["beta"])),
+            lambda: valid._replace(**bad),
+        ]
+        if hasattr(copy, "replace"):  # Python 3.13 and later
+            builds.append(lambda: copy.replace(valid, **bad))
+        for build in builds:
+            with pytest.raises(ValueError):
+                build()
 
     def test_counts(self):
         T = LocalType(3, (1, 0, 1), (0, 0, 1))

@@ -29,8 +29,6 @@ class TestConstruction:
         p = make_partition([2, 4, 2, 4])
         assert p.parts == (4, 4, 2, 2)
         assert p.blocks == ((4, 2), (2, 2))
-        assert p.block_sizes() == (4, 2)
-        assert p.multiplicities() == (2, 2)
         assert p.weight == 12
         assert p.support_size == 2
 
@@ -66,6 +64,11 @@ class TestConstruction:
 
     def test_str_form(self):
         assert str(make_partition([4, 2, 4, 2])) == "4,4,2,2"
+
+    @given(partitions)
+    def test_json_form_is_the_parts_list(self, p):
+        for q in (p, conjugate(p)):
+            assert q.to_json() == list(q.parts)
 
 
 class TestBlockEncoding:
@@ -160,7 +163,7 @@ class TestGaps:
         g = gaps(p)
         assert len(g) == p.support_size
         assert all(gap >= 1 for gap in g)
-        assert tuple(sum(g[k:]) for k in range(len(g))) == p.block_sizes()
+        assert [sum(g[k:]) for k in range(len(g))] == [size for size, _ in p.blocks]
 
 
 class TestEnumeration:

@@ -43,7 +43,7 @@ def column_delta(p, move):
     """The conjugate's columns (losing, gaining) under the move, from the block
     sizes: the cell leaves column sizes[i-1] and joins column sizes[j-1] + 1,
     or column one when j = t + 1."""
-    sizes = p.block_sizes()
+    sizes = [size for size, _ in p.blocks]
     return sizes[move.i - 1], (sizes[move.j - 1] if move.j <= len(sizes) else 0) + 1
 
 
@@ -68,12 +68,12 @@ class TestCorners:
     def test_columns(self, parts, removable, addable):
         p = Partition(parts)
         assert conjugate_corners(p) == (removable, addable)
-        assert p.block_sizes() == removable
+        assert tuple(size for size, _ in p.blocks) == removable
 
     @given(partitions)
     def test_one_removable_per_block_one_extra_addable(self, p):
         removable, addable = conjugate_corners(p)
-        assert removable == p.block_sizes()
+        assert removable == tuple(size for size, _ in p.blocks)
         assert addable == tuple(size + 1 for size in removable) + (1,)
         assert len(addable) == p.support_size + 1
 
@@ -93,7 +93,10 @@ class TestAdmissibility:
         p = make_partition([4, 4, 2, 2])
         assert list(neighbors(p)) == move_grid(p)
 
-    @pytest.mark.parametrize("i,j", [(0, 1), (3, 1), (1, 4), (1, 0)])
+    # bool and float indices compare equal to ints but are not indices.
+    @pytest.mark.parametrize("i,j", [
+        (0, 1), (3, 1), (1, 4), (1, 0), (True, 2), (1.5, 2), (1, True), (2, 2.0),
+    ])
     def test_out_of_range_indices(self, i, j):
         with pytest.raises(ValueError, match="out of range") as excinfo:
             apply_transfer(make_partition([4, 4, 2, 2]), TransferMove(i, j))

@@ -31,7 +31,7 @@ from partgraph.oracle import Observation
 
 
 def neighborhood_check():
-    return verify_line_graph_theorem(3, Partition((2, 1)))
+    return verify_line_graph_theorem(Partition((2, 1)))
 
 
 NEIGHBORHOOD_REPR = (
