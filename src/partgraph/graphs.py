@@ -11,7 +11,7 @@ the clique classification exhaustive.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import accumulate, combinations
+from itertools import accumulate, chain, combinations
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .local_model import AdmissibilityGraph
@@ -32,6 +32,9 @@ class SimpleGraph:
     edges: frozenset[tuple[int, int]]
 
     def __init__(self, labels: tuple[Any, ...], edges: frozenset[tuple[int, int]]) -> None:
+        # A list or a set would make the graph unhashable and unequal to its twin.
+        if type(labels) is not tuple or type(edges) is not frozenset:
+            raise ValueError("labels must be a tuple and edges a frozenset")
         for a, b in edges:
             if not (0 <= a < b < len(labels)):
                 raise ValueError(f"edge ({a}, {b}) invalid for {len(labels)} vertices")
@@ -120,15 +123,18 @@ def build_partition_graph(n: int) -> SimpleGraph:
     are the partitions whose conjugates arise from conjugate(p) by moving one
     cell from the last row of a run to the first row of a run or to a new
     row.  The two moves that give no new partition either give conjugate(p)
-    back or rows out of order, which the index does not hold.  Each vertex
+    back or rows out of order, which the index does not hold.  The index
+    keys are the conjugates' rows, expanded from the block forms `conjugate`
+    returns, and the run ends are read off those block forms.  Each vertex
     costs one lookup per pair of runs.
     """
     labels = enumerate_partitions(n)
-    index = {conjugate(p).parts: a for a, p in enumerate(labels)}
+    index = {tuple(chain.from_iterable((size,) * width for size, width in conjugate(p))): a
+             for a, p in enumerate(labels)}
     edges = []
     for rows, a in index.items():
         padded = [*rows, 0]
-        ends = list(accumulate(mult for _, mult in conjugate(labels[a]).blocks))
+        ends = list(accumulate(width for _, width in conjugate(labels[a])))
         for end in ends:
             for first in (0, *ends):
                 moved = padded.copy()
@@ -268,6 +274,11 @@ def classify_clique(moves: Iterable[TransferMove]) -> CliqueClassification:
     Pairwise-adjacent edges of a bipartite graph always run through one
     common endpoint, so a clique that fits neither pattern is an error.
     """
+    moves = tuple(moves)
+    # bool and float compare equal to ints, so a corner set could report True
+    # for corner 1; each move is checked before the sets merge equal indices.
+    if any(type(index) is not int or index < 1 for index in chain.from_iterable(moves)):
+        raise ValueError(f"corner indices must be positive integers, got {moves}")
     members = frozenset(moves)
     if not members:
         raise ValueError("cannot classify an empty set of moves")

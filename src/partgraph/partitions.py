@@ -3,20 +3,15 @@
 A partition is stored as a weakly decreasing tuple of positive parts.  Most
 local computations work on the block form: the run-length encoding of the
 parts into (size, multiplicity) pairs with strictly decreasing sizes.  Every
-partition carries its block form and its weight from construction on:
-`Partition(...)` builds both in the one pass over the parts that validates
-them, and the trusted constructor `Partition._from_blocks` is given the
-blocks and sums their weight.
+partition is built by `Partition(...)`, which validates the parts and, in
+the same pass over them, builds the block form and the weight; it holds all
+three from construction on.  `make_partition` and `parse_partition` go
+through it too, so input is checked at the edge.
 
-`conjugate` works on the block form: a partition with t blocks has a
-conjugate with t blocks, built in O(t) Python steps without a per-cell loop.
-It returns its result through `Partition._from_blocks`, which skips
-validation and leaves out the parts; the parts of such an instance are
-expanded the first time something reads them, so a conjugate whose columns
-number in the millions costs O(t) until then.  Each partition keeps its
-conjugate once computed.  The trusted constructor is only for partitions
-derived from an already valid one; `Partition(...)`, `make_partition` and
-`parse_partition` validate every part, so input is still checked at the edge.
+`conjugate` works on the block form and returns one: a partition with t
+blocks has a conjugate with t blocks, built in O(t) Python steps without a
+per-cell loop, so a conjugate whose columns number in the millions costs
+O(t).  Each partition keeps its conjugate once computed.
 
 `Partition` is a plain class with written-out `__eq__`, `__hash__` and
 `__repr__`, and a `__setattr__` and `__delattr__` that refuse every change, so
@@ -27,31 +22,7 @@ for those: about 20 ms of start-up on a 2-vCPU VM with Python 3.11.
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Iterable, Iterator
-
-
-class _PartsFromBlocks:
-    """`Partition.parts` for an instance made by `Partition._from_blocks`.
-
-    A non-data descriptor, so a `parts` value in the instance dict shadows it:
-    a validated instance never reaches it.  A trusted one expands its blocks
-    on the first read and keeps the result in its dict.  A `__getattr__`
-    fallback would take every attribute of every `Partition` off the
-    interpreter's specialised lookup; this takes off only `parts`.
-    """
-
-    def __get__(
-        self, instance: Partition | None, owner: type | None = None
-    ) -> tuple[int, ...] | _PartsFromBlocks:
-        if instance is None:
-            return self
-        blocks = instance.__dict__.get("blocks")
-        if blocks is None:
-            raise AttributeError("parts")
-        parts = tuple(chain.from_iterable((size,) * mult for size, mult in blocks))
-        instance.__dict__["parts"] = parts
-        return parts
 
 
 class Partition:
@@ -61,18 +32,18 @@ class Partition:
     :func:`make_partition` to sort arbitrary input.  Instances are immutable
     and hashable, so they can serve as graph vertices and dict keys.
     Besides `parts`, each instance holds `blocks`, the block form, and
-    `weight`, the integer being partitioned.  Equality and the hash are
-    those of `(parts,)`.
+    `weight`, the integer being partitioned, all three as plain instance
+    attributes.  Equality and the hash are those of `(parts,)`.
 
-    `__init__` stores the parts and calls `__post_init__`, which validates
-    them and stores the block form and the weight.  The validating step keeps
-    the name it had when this class was a dataclass, and `__init__` looks it
-    up on the instance, because callers wrap it under that name: the
-    `partitions.Partition` probe in `bench/tracer.py` and the tests count
-    validated constructions through it.
+    `__init__` is the only way in: it stores the parts and calls
+    `__post_init__`, which validates them and stores the block form and the
+    weight.  The validating step keeps the name it had when this class was a
+    dataclass, and `__init__` looks it up on the instance, because callers
+    wrap it under that name: the `partitions.Partition` probe in
+    `bench/tracer.py` and the tests count validated constructions through it.
     """
 
-    parts: tuple[int, ...] = _PartsFromBlocks()  # type: ignore[assignment]
+    parts: tuple[int, ...]
 
     def __init__(self, parts: tuple[int, ...]) -> None:
         self.__dict__["parts"] = parts
@@ -119,19 +90,6 @@ class Partition:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
 
-    @classmethod
-    def _from_blocks(cls, blocks: tuple[tuple[int, int], ...]) -> Partition:
-        """Trusted constructor from a valid block form; skips `__post_init__`.
-
-        Only for partitions derived from an already valid one.  It stores the
-        blocks and their weight, as `__post_init__` does; `parts` is left out
-        until something reads it (see `_PartsFromBlocks`).
-        """
-        self = object.__new__(cls)
-        self.__dict__["blocks"] = blocks
-        self.__dict__["weight"] = sum(size * mult for size, mult in blocks)
-        return self
-
     @property
     def support_size(self) -> int:
         """Number of distinct part sizes."""
@@ -171,13 +129,14 @@ def parse_partition(text: str) -> Partition:
     return make_partition(values)
 
 
-def conjugate(p: Partition) -> Partition:
-    """Transpose of the diagram: the k-th conjugate part counts parts >= k.
+def conjugate(p: Partition) -> tuple[tuple[int, int], ...]:
+    """Block form of the transposed diagram, whose k-th part counts parts >= k.
 
     With blocks (s_1^m_1, ..., s_t^m_t), M_i = m_1 + ... + m_i and s_{t+1} = 0,
-    the conjugate has blocks M_i^(s_i - s_{i+1}) for i = t down to 1.  The
-    result carries only those blocks (see `Partition._from_blocks`) and is
-    kept in p's instance dict, so each partition's conjugate is built once.
+    the conjugate has blocks M_i^(s_i - s_{i+1}) for i = t down to 1, so the
+    result is ((M_t, s_t), (M_{t-1}, s_{t-1} - s_t), ..., (M_1, s_1 - s_2)).
+    It is kept in p's instance dict, so each partition's conjugate is built
+    once.
     """
     cached = p.__dict__.get("_conjugate")
     if cached is not None:
@@ -189,7 +148,7 @@ def conjugate(p: Partition) -> Partition:
         rows += mult
         out.append((rows, size - (blocks[k][0] if k < len(blocks) else 0)))
     out.reverse()
-    p.__dict__["_conjugate"] = result = Partition._from_blocks(tuple(out))
+    p.__dict__["_conjugate"] = result = tuple(out)
     return result
 
 

@@ -40,9 +40,8 @@ class TransferMove(NamedTuple):
 class InadmissibleTransferError(ValueError):
     """A rejected transfer; `reason` names the obstruction that fired."""
 
-    def __init__(self, move: TransferMove, reason: str, message: str):
+    def __init__(self, reason: str, message: str):
         super().__init__(message)
-        self.move = move
         self.reason = reason
 
 
@@ -74,7 +73,7 @@ def _require_admissible(p: Partition, move: TransferMove) -> None:
     reason = _obstruction(p, move)
     if reason:
         why = _OBSTRUCTIONS[reason].format(move.i)
-        raise InadmissibleTransferError(move, reason, f"move {move} on {p}: {why}")
+        raise InadmissibleTransferError(reason, f"move {move} on {p}: {why}")
 
 
 def apply_transfer(p: Partition, move: TransferMove) -> Partition:
@@ -130,8 +129,8 @@ def are_adjacent(p: Partition, q: Partition) -> bool:
     functions over the columns given by their blocks, so the test costs
     O(t_p + t_q) steps.  Each run adds its width times the difference of the
     two columns to the distance, and the test fails as soon as that passes 2.
-    Only the conjugates' blocks are read, so their parts are never expanded,
-    and each partition's conjugate is built once and reused.
+    `conjugate` returns block forms, so no conjugate is ever expanded into
+    parts, and each partition's conjugate is built once and reused.
     """
     if p.weight != q.weight:
         raise ValueError(
@@ -139,8 +138,8 @@ def are_adjacent(p: Partition, q: Partition) -> bool:
         )
     end = max(p.blocks[0][0], q.blocks[0][0])
     # A zero run past the last column of each conjugate, wide enough to reach `end`.
-    runs_p = conjugate(p).blocks + ((0, end),)
-    runs_q = conjugate(q).blocks + ((0, end),)
+    runs_p = conjugate(p) + ((0, end),)
+    runs_q = conjugate(q) + ((0, end),)
     (vp, wp), (vq, wq) = runs_p[0], runs_q[0]
     i = j = col = moved = 0
     while col < end:

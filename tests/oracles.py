@@ -38,6 +38,11 @@ def run_length_blocks(parts: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     return tuple((size, sum(1 for _ in run)) for size, run in groupby(parts))
 
 
+def parts_from_blocks(blocks: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
+    """Parts of a block form, each size written out as often as its multiplicity."""
+    return tuple(size for size, mult in blocks for _ in range(mult))
+
+
 def cells(parts: tuple[int, ...]) -> frozenset[tuple[int, int]]:
     """The diagram of a partition as a set of (row, column) cells."""
     return frozenset((r, c) for r, length in enumerate(parts) for c in range(length))

@@ -67,6 +67,16 @@ class TestSimpleGraph:
         with pytest.raises(ValueError):
             SimpleGraph(("a", "b", "c"), frozenset(edges))
 
+    @pytest.mark.parametrize("labels, edges", [
+        (["a", "b"], frozenset({(0, 1)})),
+        (("a", "b"), {(0, 1)}),
+        (("a", "b"), [(0, 1)]),
+    ])
+    def test_rejects_labels_not_a_tuple_or_edges_not_a_frozenset(self, labels, edges):
+        # Such a graph would be unhashable or unequal to its tuple/frozenset twin.
+        with pytest.raises(ValueError):
+            SimpleGraph(labels, edges)
+
     def test_json_uses_native_label_forms(self):
         g = SimpleGraph(
             (make_partition([2, 1]), TransferMove(1, 2)),
@@ -289,3 +299,19 @@ class TestClassifyClique:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             classify_clique([])
+
+    @pytest.mark.parametrize("moves", [
+        [TransferMove(True, 2), TransferMove(1, 3)],
+        [TransferMove(1.5, 2)],
+        [TransferMove(0, 1)],
+        [TransferMove(1, 2), TransferMove(True, 2)],
+        [TransferMove(2, -1)],
+    ])
+    def test_rejects_indices_other_than_positive_ints(self, moves):
+        # True for 1 would come back as `removable=True`, printed `true` in JSON.
+        with pytest.raises(ValueError):
+            classify_clique(moves)
+
+    def test_accepts_a_one_shot_iterable(self):
+        cls = classify_clique(TransferMove(1, j) for j in (1, 2))
+        assert (cls.kind, cls.removable, cls.addable) == ("star", 1, None)

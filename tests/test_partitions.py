@@ -12,7 +12,13 @@ from partgraph import (
 )
 from partgraph.partitions import parse_digits
 
-from oracles import conjugate_parts_by_cells, partition_count, run_length_blocks
+from oracles import (
+    conjugate_parts_by_cells,
+    partition_count,
+    parts_from_blocks,
+    run_length_blocks,
+)
+from test_block_form import block_patterns, from_pattern
 
 partitions = st.lists(st.integers(1, 9), min_size=1, max_size=8).map(make_partition)
 
@@ -67,8 +73,7 @@ class TestConstruction:
 
     @given(partitions)
     def test_json_form_is_the_parts_list(self, p):
-        for q in (p, conjugate(p)):
-            assert q.to_json() == list(q.parts)
+        assert p.to_json() == list(p.parts)
 
 
 class TestBlockEncoding:
@@ -78,16 +83,6 @@ class TestBlockEncoding:
         assert {"blocks", "weight"} <= vars(p).keys()
         assert p.blocks == run_length_blocks(parts)
         assert p.weight == sum(parts)
-
-    @settings(deadline=None, max_examples=30)
-    @given(long_runs)
-    def test_conjugate_expands_parts_only_when_read(self, parts):
-        c = conjugate(Partition(parts))
-        assert {"blocks", "weight"} <= vars(c).keys()
-        assert "parts" not in vars(c)
-        assert c.blocks == run_length_blocks(c.parts)
-        assert c.weight == sum(parts) == sum(c.parts)
-        assert "parts" in vars(c)
 
 
 class TestParse:
@@ -127,25 +122,32 @@ class TestParseDigits:
 
 class TestConjugate:
     @pytest.mark.parametrize("parts,expected", [
-        ((3, 1), (2, 1, 1)),
-        ((4, 4, 2, 2), (4, 4, 2, 2)),
-        ((7,), (1,) * 7),
-        ((1,) * 7, (7,)),
+        ((3, 1), ((2, 1), (1, 2))),
+        ((4, 4, 2, 2), ((4, 2), (2, 2))),
+        ((7,), ((1, 7),)),
+        ((1,) * 7, ((7, 1),)),
     ])
     def test_known_values(self, parts, expected):
-        assert conjugate(Partition(parts)).parts == expected
+        assert conjugate(Partition(parts)) == expected
 
     @given(partitions)
     def test_matches_cell_transpose(self, p):
-        assert conjugate(p).parts == conjugate_parts_by_cells(p.parts)
+        assert conjugate(p) == run_length_blocks(conjugate_parts_by_cells(p.parts))
+
+    @settings(deadline=None)
+    @given(st.one_of(partitions, block_patterns().map(lambda pattern: from_pattern(*pattern))))
+    def test_is_a_tuple_of_blocks(self, p):
+        c = conjugate(p)
+        assert type(c) is tuple
+        assert c == run_length_blocks(conjugate_parts_by_cells(p.parts))
 
     @given(partitions)
     def test_involution(self, p):
-        assert conjugate(conjugate(p)) == p
+        assert conjugate(Partition(parts_from_blocks(conjugate(p)))) == p.blocks
 
     @given(partitions)
     def test_preserves_weight(self, p):
-        assert conjugate(p).weight == p.weight
+        assert sum(parts_from_blocks(conjugate(p))) == p.weight
 
 
 class TestGaps:

@@ -18,7 +18,7 @@ from partgraph import (
 )
 from partgraph.graphs import label_json
 
-from oracles import adjacent_by_cells, definition_admissible, raw_transfer_parts
+from oracles import adjacent_by_cells, definition_admissible, parts_from_blocks, raw_transfer_parts
 from test_block_form import block_patterns, from_pattern
 
 partitions = st.lists(st.integers(1, 9), min_size=1, max_size=8).map(make_partition)
@@ -29,11 +29,16 @@ def move_grid(p):
     return [TransferMove(i, j) for i in range(1, t + 1) for j in range(1, t + 2)]
 
 
+def columns(p):
+    """Column lengths of p's diagram, left to right: the conjugate expanded."""
+    return parts_from_blocks(conjugate(p))
+
+
 def conjugate_corners(p):
     """Corner columns read off the conjugate, right to left: column c has a
     removable corner when it is longer than column c + 1, and takes an added
     cell when c is one or column c - 1 is longer."""
-    cols = conjugate(p).parts + (0,)
+    cols = columns(p) + (0,)
     removable = tuple(c for c in range(len(cols) - 1, 0, -1) if cols[c - 1] > cols[c])
     addable = tuple(c for c in range(len(cols), 0, -1) if c == 1 or cols[c - 2] > cols[c - 1])
     return removable, addable
@@ -49,7 +54,7 @@ def column_delta(p, move):
 
 def shifted_conjugate(p, losing, gaining):
     """The conjugate of p with one cell moved from column `losing` to `gaining`."""
-    vec = list(conjugate(p).parts)
+    vec = list(columns(p))
     vec += [0] * (max(losing, gaining) - len(vec))
     vec[losing - 1] -= 1
     vec[gaining - 1] += 1
@@ -211,7 +216,7 @@ class TestConjugateDelta:
     def test_known_values(self, parts, move, expected):
         p, move = Partition(parts), TransferMove(*move)
         assert column_delta(p, move) == expected
-        assert shifted_conjugate(p, *expected) == conjugate(apply_transfer(p, move)).parts
+        assert shifted_conjugate(p, *expected) == columns(apply_transfer(p, move))
 
     @given(partitions)
     def test_rejects_inadmissible(self, p):
@@ -222,7 +227,7 @@ class TestConjugateDelta:
         for move in move_grid(p):
             if move not in nbrs:
                 shifted = shifted_conjugate(p, *column_delta(p, move))
-                assert shifted == conjugate(p).parts or list(shifted) != sorted(shifted)[::-1]
+                assert shifted == columns(p) or list(shifted) != sorted(shifted)[::-1]
                 with pytest.raises(InadmissibleTransferError):
                     apply_transfer(p, move)
 
@@ -231,7 +236,7 @@ class TestConjugateDelta:
         for move, q in neighbors(p).items():
             losing, gaining = column_delta(p, move)
             assert losing != gaining
-            assert shifted_conjugate(p, losing, gaining) == conjugate(q).parts
+            assert shifted_conjugate(p, losing, gaining) == columns(q)
 
 
 class TestAdjacency:
@@ -266,7 +271,7 @@ class TestAdjacency:
         q = data.draw(st.sampled_from(pool))
         forward = are_adjacent(p, q)
         assert forward == are_adjacent(q, p)
-        assert forward == are_adjacent(conjugate(p), conjugate(q))
+        assert forward == are_adjacent(Partition(columns(p)), Partition(columns(q)))
         assert forward == adjacent_by_cells(p.parts, q.parts)
 
     def test_exactly_one_move_per_adjacent_pair(self):

@@ -23,7 +23,6 @@ from partgraph import (
     TransferMove,
     VerificationReport,
     classify_clique,
-    conjugate,
     local_type,
     verify_line_graph_theorem,
 )
@@ -153,8 +152,6 @@ class TestPartitionHash:
     def test_hash_is_that_of_the_parts_in_a_one_tuple(self, parts):
         p = Partition(parts)
         assert hash(p) == hash((p.parts,))
-        c = conjugate(p)
-        assert hash(c) == hash((c.parts,)) == hash(Partition(c.parts))
 
     def test_unequal_to_other_types(self):
         p = Partition((2, 1))
