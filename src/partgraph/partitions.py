@@ -164,8 +164,8 @@ def gaps(p: Partition) -> tuple[int, ...]:
 
 def enumerate_partitions(n: int) -> list[Partition]:
     """All partitions of n in reverse-lexicographic order, (n) first, all-ones last."""
-    if n <= 0:
-        raise ValueError(f"weight must be a positive integer, got {n}")
+    if type(n) is not int or n <= 0:
+        raise ValueError(f"weight must be a positive integer, got {n!r}")
     return [Partition(parts) for parts in _descending_parts(n, n)]
 
 

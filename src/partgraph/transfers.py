@@ -44,6 +44,10 @@ class InadmissibleTransferError(ValueError):
         super().__init__(message)
         self.reason = reason
 
+    def __reduce__(self) -> tuple[type, tuple[str, str]]:
+        # BaseException's own reduce passes only `args`, the message alone.
+        return type(self), (self.reason, str(self))
+
 
 def _obstruction(p: Partition, move: TransferMove) -> str | None:
     blocks = p.blocks

@@ -112,6 +112,10 @@ class TestPartitionGraph:
         with pytest.raises(ValueError):
             build_partition_graph(0)
 
+    def test_rejects_a_bool_weight(self):
+        with pytest.raises(ValueError):
+            build_partition_graph(True)
+
     def test_index_build_matches_pairwise_cell_test_to_twelve(self):
         for n in range(1, 13):
             g = build_partition_graph(n)

@@ -159,16 +159,29 @@ class TestFailureDetails:
         formula = partgraph.oracle.local_clique_number
         monkeypatch.setattr(partgraph.oracle, "local_clique_number", lambda T: formula(T) + 1)
         failures = [f for o in observe(4) for f in verify_cliques(o, local_type(o.partition))]
-        expected = []
-        for partition, searched in [("4", 2), ("3,1", 3), ("2,2", 3), ("2,1,1", 3), ("1,1,1,1", 2)]:
-            expected += [
-                (partition, f"clique number mismatch: search={searched}, formula={searched + 1}"),
-                (partition, f"dimension mismatch: {searched - 1} vs clique number {searched + 1}"),
-            ]
+        searched = [("4", 2), ("3,1", 3), ("2,2", 3), ("2,1,1", 3), ("1,1,1,1", 2)]
+        expected = [
+            (partition, f"clique number mismatch: search={omega}, formula={omega + 1}")
+            for partition, omega in searched
+        ]
         assert [(f["partition"], f["detail"]) for f in failures] == expected
         assert [f["replay"] for f in failures] == [
             f"partgraph cliques {partition}" for partition, _ in expected
         ]
+
+    def test_dimension_is_checked_against_the_search_once(self, monkeypatch):
+        # The dimension formula is compared with the clique search in
+        # type_determinacy alone, never with the clique-number formula.
+        formula = partgraph.oracle.local_dimension
+        monkeypatch.setattr(partgraph.oracle, "local_dimension", lambda T: formula(T) + 1)
+        report = run_all(6)
+        failures = {c.name: c.failures for c in report.checks}
+        assert failures["cliques"] == ()
+        assert failures["degrees"] == failures["neighborhoods"] == ()
+        flagged = [(f["n"], f["partition"]) for f in failures["type_determinacy"]]
+        assert flagged == [(n, str(p)) for n in range(1, 7) for p in enumerate_partitions(n)]
+        for failure in failures["type_determinacy"]:
+            assert failure["detail"].startswith("dimension disagrees with the type model")
 
     def test_target_not_adjacent_to_its_partition(self, monkeypatch):
         # Send the move 1->2 of 2,2 back to 2,2 itself: its pairs still agree
@@ -299,6 +312,11 @@ class TestRunAll:
     def test_rejects_bad_bound(self):
         with pytest.raises(ValueError):
             run_all(0)
+
+    @pytest.mark.parametrize("bad", [True, 2.0])
+    def test_rejects_a_bound_that_is_not_an_int(self, bad):
+        with pytest.raises(ValueError, match=f"got {bad!r}$"):
+            run_all(bad)
 
 
 class TestReportPlumbing:

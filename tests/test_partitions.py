@@ -194,3 +194,8 @@ class TestEnumeration:
     def test_rejects_nonpositive_weight(self, bad):
         with pytest.raises(ValueError):
             enumerate_partitions(bad)
+
+    @pytest.mark.parametrize("bad", [True, 2.0])
+    def test_rejects_a_weight_that_is_not_an_int(self, bad):
+        with pytest.raises(ValueError, match=f"got {bad!r}$"):
+            enumerate_partitions(bad)

@@ -136,6 +136,20 @@ class TestApply:
             apply_transfer(make_partition([1, 1, 1]), TransferMove(1, 2))
         assert excinfo.value.reason == "unit_gap"
 
+    @pytest.mark.parametrize("parts, move", [([3, 1], (1, 1)), ([1, 1, 1], (1, 2))])
+    def test_rejection_copies_round_trip(self, parts, move):
+        with pytest.raises(InadmissibleTransferError) as excinfo:
+            apply_transfer(make_partition(parts), TransferMove(*move))
+        err = excinfo.value
+        copies = [copy.copy(err), copy.deepcopy(err)] + [
+            pickle.loads(pickle.dumps(err, protocol))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+        ]
+        for other in copies:
+            assert type(other) is InadmissibleTransferError
+            assert other.reason == err.reason
+            assert str(other) == str(err)
+
     @given(partitions)
     def test_matches_raw_surgery_and_preserves_weight(self, p):
         for move, q in neighbors(p).items():
