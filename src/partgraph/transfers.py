@@ -44,9 +44,9 @@ class InadmissibleTransferError(ValueError):
         super().__init__(message)
         self.reason = reason
 
-    def __reduce__(self) -> tuple[type, tuple[str, str]]:
+    def __reduce__(self) -> tuple[type, tuple[str, str], dict]:
         # BaseException's own reduce passes only `args`, the message alone.
-        return type(self), (self.reason, str(self))
+        return type(self), (self.reason, str(self)), vars(self)
 
 
 def _obstruction(p: Partition, move: TransferMove) -> str | None:

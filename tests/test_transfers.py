@@ -141,6 +141,7 @@ class TestApply:
         with pytest.raises(InadmissibleTransferError) as excinfo:
             apply_transfer(make_partition(parts), TransferMove(*move))
         err = excinfo.value
+        err.__notes__ = [f"while checking {parts}"]
         copies = [copy.copy(err), copy.deepcopy(err)] + [
             pickle.loads(pickle.dumps(err, protocol))
             for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
@@ -149,6 +150,7 @@ class TestApply:
             assert type(other) is InadmissibleTransferError
             assert other.reason == err.reason
             assert str(other) == str(err)
+            assert other.__notes__ == err.__notes__
 
     @given(partitions)
     def test_matches_raw_surgery_and_preserves_weight(self, p):
