@@ -104,6 +104,11 @@ def label_json(label: Any) -> Any:
     return label
 
 
+# A relation on partitions, as `induced_neighborhood` takes it: a map from each
+# partition to a vertex, and a test of two vertices.
+Relation = tuple[Callable[[Partition], Any], Callable[[Any, Any], bool]]
+
+
 def _relation_edges(items: Sequence, related: Callable[[Any, Any], bool]) -> frozenset[tuple[int, int]]:
     """The index pairs (a, b), a < b, of every related pair of the items."""
     pairs = combinations(enumerate(items), 2)
@@ -146,14 +151,26 @@ def build_partition_graph(n: int) -> SimpleGraph:
     return SimpleGraph(tuple(labels), frozenset(edges))
 
 
-def induced_neighborhood(nbrs: Mapping[TransferMove, Partition]) -> SimpleGraph:
+def induced_neighborhood(
+    nbrs: Mapping[TransferMove, Partition],
+    relation: Relation | None = None,
+) -> SimpleGraph:
     """The graph the targets of the moves induce, labeled by the moves in sorted order.
 
-    Adjacency comes from `are_adjacent` on every pair of targets, so targets
-    of different weights are rejected.
+    `relation` is a pair (vertex, related): each target is mapped once by
+    `vertex`, and two targets are joined when `related` holds of their
+    vertices.  The full sweep passes adjacency in G_n this way.  Without it,
+    every pair of targets is tested with `are_adjacent`, looked up when
+    called, so targets of different weights are rejected.
     """
     moves = tuple(sorted(nbrs))
-    return SimpleGraph(moves, _relation_edges([nbrs[move] for move in moves], are_adjacent))
+    vertices = [nbrs[move] for move in moves]
+    if relation is None:
+        related = are_adjacent
+    else:
+        vertex, related = relation
+        vertices = [vertex(target) for target in vertices]
+    return SimpleGraph(moves, _relation_edges(vertices, related))
 
 
 def line_graph(B: AdmissibilityGraph) -> SimpleGraph:
@@ -198,17 +215,21 @@ class NeighborhoodCheck(NamedTuple):
         return not self.violations
 
 
-def verify_line_graph_theorem(p: Partition) -> NeighborhoodCheck:
+def verify_line_graph_theorem(
+    p: Partition,
+    relation: Relation | None = None,
+) -> NeighborhoodCheck:
     """Check every pair of neighbors of p: adjacent in the transfer graph of
     p's weight exactly when their moves share a removable or an addable corner.
 
     The two sides are computed independently: adjacency comes from the
-    induced neighborhood, which applies the conjugate-coordinate test to the
-    actual neighbor partitions; corner sharing looks only at the move labels,
-    through the line graph of the bipartite graph the moves form.
+    induced neighborhood of the actual neighbor partitions, under `relation`
+    when given (see `induced_neighborhood`) and the conjugate-coordinate test
+    otherwise; corner sharing looks only at the move labels, through the line
+    graph of the bipartite graph the moves form.
     """
     nbrs = neighbors(p)
-    observed = induced_neighborhood(nbrs)
+    observed = induced_neighborhood(nbrs, relation)
     moves = observed.labels
     corners = line_graph(AdmissibilityGraph(p.support_size, frozenset(moves)))
     violations = tuple(
@@ -218,23 +239,45 @@ def verify_line_graph_theorem(p: Partition) -> NeighborhoodCheck:
     return NeighborhoodCheck(p, observed, tuple(map(nbrs.get, moves)), corners, violations)
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _maximal_cliques(graph: SimpleGraph) -> Iterator[frozenset[int]]:
-    # Bron-Kerbosch with a max-degree pivot; deterministic because candidate
-    # iteration and pivot tie-breaks are index-ordered.
-    adj = graph._adjacency
+    """Every maximal nonempty clique of the graph, as a frozenset of vertex indices.
 
-    def expand(clique: set[int], candidates: set[int], excluded: set[int]) -> Iterator[frozenset[int]]:
-        if not candidates and not excluded:
-            if clique:
-                yield frozenset(clique)
+    Bron-Kerbosch with a pivot, on int bitsets: bit v of a set stands for
+    vertex v.  The pivot is the vertex of the candidates and the excluded
+    with the most neighbors among the candidates, the lowest on ties, and
+    the candidates that are not its neighbors are expanded lowest first, so
+    the order of the cliques is deterministic.
+    """
+    masks = [0] * graph.vertex_count
+    for a, b in graph.edges:
+        masks[a] |= 1 << b
+        masks[b] |= 1 << a
+
+    def expand(clique: int, candidates: int, excluded: int) -> Iterator[frozenset[int]]:
+        if not candidates:
+            if not excluded and clique:
+                yield frozenset(_bits(clique))
             return
-        pivot = max(candidates | excluded, key=lambda v: (len(adj[v] & candidates), -v))
-        for v in sorted(candidates - adj[pivot]):
-            yield from expand(clique | {v}, candidates & adj[v], excluded & adj[v])
-            candidates.remove(v)
-            excluded.add(v)
+        most = -1
+        for v in _bits(candidates | excluded):
+            count = (masks[v] & candidates).bit_count()
+            if count > most:
+                most, pivot = count, v
+        for v in _bits(candidates & ~masks[pivot]):
+            bit = 1 << v
+            yield from expand(clique | bit, candidates & masks[v], excluded & masks[v])
+            candidates ^= bit
+            excluded |= bit
 
-    yield from expand(set(), set(range(graph.vertex_count)), set())
+    yield from expand(0, (1 << graph.vertex_count) - 1, 0)
 
 
 def cliques_through(graph: SimpleGraph) -> list[tuple[TransferMove, ...]]:

@@ -2,16 +2,17 @@
 
 A full sweep observes each partition once (`observe`).  It builds G_n once
 per weight, from the conjugate index, and for every partition it generates
-the moves and their targets, tests every pair of targets for adjacency, lays
-corner sharing of the move labels next to that (`verify_line_graph_theorem`)
-and searches the induced neighborhood for maximal cliques.
+the moves and their targets, looks each target up once among G_n's vertices
+and reads the adjacency of every pair of targets off G_n, lays corner sharing
+of the move labels next to that (`verify_line_graph_theorem`) and searches
+the induced neighborhood for maximal cliques.
 
 Each check reads one observation against a prediction of its own and
 returns that partition's failures; it counts nothing and times nothing:
 
 - degrees: distinct targets, the degree formula and the degree in G_n;
 - neighborhoods: adjacency of the targets against corner sharing, and every
-  target adjacent to its partition;
+  target adjacent to its partition under `are_adjacent`;
 - cliques: the largest clique found against the closed-form clique number,
   plus the classification of every clique found;
 - type_determinacy: moves, adjacency, degree and clique number against the
@@ -28,14 +29,17 @@ its local type and its `neighbors`, and nothing is observed.
 
 Only the brute-force observation and the type the predictions start from
 are shared, never a prediction.  Sharing the observation removes no
-independent route: the checks used to observe each partition on
-their own, but through the same `neighbors` and `are_adjacent` code.  G_n is
-built without either, so the degree in G_n stays a route of its own.
+independent route: G_n is built from the conjugates' rows, without
+`neighbors`, `apply_transfer` or `are_adjacent`, so the degree in G_n and
+the adjacency of the targets in G_n are routes of their own, checked against
+the count of `neighbors` and against corner sharing of the move labels.
+`are_adjacent` is still checked once per move, between the partition and
+the move's target.
 
 In the report, each check's time includes the part of the observation named
-after it: the graph build for degrees, `verify_line_graph_theorem` for
-neighborhoods and the clique search for cliques.  type_determinacy's time is
-its own.
+after it: the build of G_n and of its index for degrees,
+`verify_line_graph_theorem` for neighborhoods and the clique search for
+cliques.  type_determinacy's time is its own.
 
 Each failure records the partition, both values and a `replay` CLI command.
 """
@@ -48,6 +52,8 @@ from typing import Iterable, Iterator, NamedTuple
 from .graphs import (
     CliqueClassificationError,
     NeighborhoodCheck,
+    Relation,
+    SimpleGraph,
     build_partition_graph,
     classify_clique,
     cliques_through,
@@ -66,13 +72,32 @@ from .partitions import Partition, enumerate_partitions
 from .transfers import TransferMove, are_adjacent, neighbors
 
 
-class CheckResult(NamedTuple):
-    """Outcome of one verifier: how many partitions it saw and what failed."""
-
+class _CheckResultFields(NamedTuple):
     name: str
     examined: int
     failures: tuple[dict, ...] = ()
     ms: float = 0.0
+
+
+class CheckResult(_CheckResultFields):
+    """Outcome of one verifier: how many partitions it saw and what failed.
+
+    `__new__` requires `failures` to be a tuple, and so do `_make`,
+    `_replace` and `copy.replace`, which go through it.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, examined: int, failures: tuple[dict, ...] = (),
+                ms: float = 0.0) -> CheckResult:
+        # A list would compare unequal to the same tuple and could not be hashed.
+        if type(failures) is not tuple:
+            raise ValueError(f"failures must be a tuple, got {type(failures).__name__}")
+        return super().__new__(cls, name, examined, failures, ms)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> CheckResult:
+        return cls(*iterable)
 
     @property
     def passed(self) -> bool:
@@ -82,9 +107,29 @@ class CheckResult(NamedTuple):
         return {"name": self.name, "examined": self.examined, "failures": list(self.failures)}
 
 
-class VerificationReport(NamedTuple):
+class _VerificationReportFields(NamedTuple):
     n_range: tuple[int, int]
     checks: tuple[CheckResult, ...]
+
+
+class VerificationReport(_VerificationReportFields):
+    """Every check of one sweep over the weights in n_range.
+
+    `__new__` requires `checks` to be a tuple, as `CheckResult` requires its
+    failures to be one.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, n_range: tuple[int, int],
+                checks: tuple[CheckResult, ...]) -> VerificationReport:
+        if type(checks) is not tuple:
+            raise ValueError(f"checks must be a tuple, got {type(checks).__name__}")
+        return super().__new__(cls, n_range, checks)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> VerificationReport:
+        return cls(*iterable)
 
     @property
     def passed(self) -> bool:
@@ -132,19 +177,42 @@ class Observation(NamedTuple):
         return self.neighborhood.partition
 
 
+def _graph_relation(graph: SimpleGraph) -> Relation:
+    """Adjacency in G_n, as the relation `verify_line_graph_theorem` takes.
+
+    Each target is looked up once, by its parts, among the vertices of G_n,
+    and two vertices are joined when one is in the other's adjacency.  A
+    target that G_n does not hold has another weight, and is rejected as
+    `are_adjacent` rejects it.
+    """
+    index = {q.parts: a for a, q in enumerate(graph.labels)}
+    adjacency = graph._adjacency
+
+    def vertex(target: Partition) -> int:
+        a = index.get(target.parts)
+        if a is None:
+            raise ValueError(f"partitions of different weights: {target} has {target.weight}, "
+                             f"G_n has {graph.labels[0].weight}")
+        return a
+
+    return vertex, lambda a, b: b in adjacency[a]
+
+
 def observe(n: int) -> Iterator[Observation]:
     """Observe each partition of n once, in enumeration order.
 
-    G_n is built before the first observation, which is charged its time.
-    Observations are made one at a time, so a sweep holds one partition's
-    neighborhood at once, however many partitions the weight has.
+    G_n and its index are built before the first observation, which is
+    charged their time.  Observations are made one at a time, so a sweep
+    holds one partition's neighborhood at once, however many partitions the
+    weight has.
     """
     start = time.perf_counter()
     graph = build_partition_graph(n)
+    relation = _graph_relation(graph)
     build_ms = (time.perf_counter() - start) * 1000
     for idx, p in enumerate(graph.labels):
         start = time.perf_counter()
-        check = verify_line_graph_theorem(p)
+        check = verify_line_graph_theorem(p, relation)
         compared = time.perf_counter()
         cliques = cliques_through(check.neighborhood)
         ms = {"degrees": build_ms, "neighborhoods": (compared - start) * 1000,

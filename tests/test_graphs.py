@@ -1,7 +1,7 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from itertools import combinations
+from itertools import combinations, compress
 
 import partgraph.graphs
 from partgraph import (
@@ -42,6 +42,27 @@ def small_graphs(draw):
     else:
         edges = set()
     return SimpleGraph(tuple(range(n)), frozenset(edges))
+
+
+@st.composite
+def graphs_up_to_ten(draw):
+    # A complete, an edgeless or a drawn graph on `core` of the n vertices,
+    # the others isolated, with the vertices shuffled.
+    n = draw(st.integers(0, 10))
+    core = draw(st.integers(0, n))
+    pairs = list(combinations(range(core), 2))
+    keep = draw(st.one_of(
+        st.just([True] * len(pairs)),
+        st.just([False] * len(pairs)),
+        st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)),
+    ))
+    order = draw(st.permutations(range(n)))
+    edges = {tuple(sorted((order[a], order[b]))) for a, b in compress(pairs, keep)}
+    return SimpleGraph(tuple(range(n)), frozenset(edges))
+
+
+def complete_graph(n, isolated=0):
+    return SimpleGraph(tuple(range(n + isolated)), frozenset(combinations(range(n), 2)))
 
 
 class TestSimpleGraph:
@@ -243,19 +264,35 @@ class TestLineGraphTheoremCheck:
         assert not check.verified
 
 
+def neighborhood_of(parts):
+    return induced_neighborhood(neighbors(make_partition(parts)))
+
+
 class TestMaximalCliques:
-    @settings(deadline=None)
-    @given(small_graphs())
+    @settings(deadline=None, max_examples=300)
+    @given(graphs_up_to_ten())
+    @example(complete_graph(0))
+    @example(complete_graph(0, isolated=10))
+    @example(complete_graph(10))
+    @example(complete_graph(5, isolated=5))
     def test_matches_subset_enumeration(self, g):
-        assert set(_maximal_cliques(g)) == naive_maximal_cliques(g.vertex_count, g.edges)
+        found = list(_maximal_cliques(g))
+        assert len(found) == len(set(found))
+        assert set(found) == naive_maximal_cliques(g.vertex_count, g.edges)
 
     def test_deterministic_output(self):
         g = build_partition_graph(7)
         assert list(_maximal_cliques(g)) == list(_maximal_cliques(g))
 
-
-def neighborhood_of(parts):
-    return induced_neighborhood(neighbors(make_partition(parts)))
+    @pytest.mark.parametrize("g, order", [
+        (neighborhood_of([4, 4, 2, 2]), [[0, 1, 2], [0, 3], [1, 4], [3, 4, 5], [2, 5]]),
+        (build_partition_graph(6), [[0, 1], [1, 2, 3], [2, 3, 5], [2, 4, 5], [3, 5, 6],
+                                    [5, 6, 8], [5, 7, 8], [6, 8, 9], [9, 10]]),
+    ])
+    def test_order_of_the_cliques(self, g, order):
+        # The pivot has the most neighbors among the candidates, the lowest on
+        # ties, and the candidates are expanded lowest first.
+        assert [sorted(clique) for clique in _maximal_cliques(g)] == order
 
 
 class TestCliquesThrough:

@@ -9,6 +9,7 @@ import partgraph.oracle
 import partgraph.transfers
 from partgraph import (
     CheckResult,
+    Partition,
     TransferMove,
     VerificationReport,
     build_partition_graph,
@@ -21,6 +22,7 @@ from partgraph import (
     verify_cliques,
     verify_degrees,
     verify_neighborhoods,
+    verify_line_graph_theorem,
     verify_type_determinacy,
 )
 from partgraph.cli import main
@@ -65,6 +67,13 @@ class TestSingleWeightVerifiers:
         observed = list(observe(8))
         assert len(observed) == 22
         assert [f for o in observed for f in verify_neighborhoods(o)] == []
+
+    def test_neighborhoods_read_off_the_graph_equal_the_pair_test_to_twelve(self):
+        # The sweep reads pair adjacency off G_n; `verify_line_graph_theorem`
+        # on its own tests every pair with `are_adjacent`.
+        for n in range(1, 13):
+            for o in observe(n):
+                assert o.neighborhood == verify_line_graph_theorem(o.partition), o.partition
 
     def test_cliques_weight_eight(self):
         observed = list(observe(8))
@@ -144,13 +153,19 @@ class TestFailureDetails:
         ]),
     ])
     def test_neighborhood_pair_detail(self, monkeypatch, capsys, adjacent, flagged):
-        monkeypatch.setattr(partgraph.graphs, "are_adjacent", adjacent)
+        # The sweep joins two targets through the relation it builds from G_n,
+        # and the replay through `are_adjacent`; the fault goes into both.
+        # Vertex indices of G_n are distinct exactly when their partitions are.
+        graph_relation = partgraph.oracle._graph_relation
+        monkeypatch.setattr(partgraph.oracle, "_graph_relation",
+                            lambda graph: (graph_relation(graph)[0], adjacent))
         failures = [f for o in observe(4) for f in verify_neighborhoods(o)]
         assert [(f["partition"], f["detail"]) for f in failures] == flagged
         assert all(f["check"] == "neighborhoods" and f["n"] == 4 for f in failures)
         assert [f["replay"] for f in failures] == [
             f"partgraph neighborhood {partition}" for partition, _ in flagged
         ]
+        monkeypatch.setattr(partgraph.graphs, "are_adjacent", adjacent)
         for replay in {f["replay"] for f in failures}:
             assert main([*replay.split()[1:], "--format", "json"]) == 0
             assert '"verified": false' in capsys.readouterr().out
@@ -198,6 +213,20 @@ class TestFailureDetails:
             ("2,2", "move 1->2: target 2,2 is not adjacent", "partgraph neighborhood 2,2"),
         ]
 
+    def test_a_target_of_another_weight_is_rejected(self, monkeypatch):
+        # Send the move 1->2 of 2,2 to 2,1,1,1, of weight 5: G_n of weight 4
+        # does not hold it, and the sweep rejects it as `are_adjacent` would.
+        apply = partgraph.transfers.apply_transfer
+        broken = make_partition([2, 2])
+
+        def heavier(p, move):
+            q = apply(p, move)
+            return Partition((*q.parts, 1)) if (p, move) == (broken, (1, 2)) else q
+
+        monkeypatch.setattr(partgraph.transfers, "apply_transfer", heavier)
+        with pytest.raises(ValueError, match="^partitions of different weights: .*2,1,1,1 has 5"):
+            run_all(6)
+
     @staticmethod
     def count_calls(monkeypatch, modules, names):
         calls = Counter()
@@ -216,10 +245,13 @@ class TestFailureDetails:
 
     def test_type_determinacy_observes_each_partition_once(self, monkeypatch):
         modules = (partgraph.oracle, partgraph.graphs)
-        calls = self.count_calls(monkeypatch, modules, ("are_adjacent", "neighbors"))
+        names = ("are_adjacent", "neighbors", "_graph_relation")
+        calls = self.count_calls(monkeypatch, modules, names)
         observed = observe_up_to(8)
-        # 66 partitions of weight <= 8, and 363 = sum of C(degree, 2) over them.
-        assert calls == {"are_adjacent": 363, "neighbors": 66}
+        # 66 partitions of weight <= 8, each with one neighbors call, and one
+        # relation built from G_n per weight: every pair of targets is read
+        # off G_n, so none is tested with are_adjacent.
+        assert calls == {"neighbors": 66, "_graph_relation": 8}
         calls.clear()
         assert type_failures(observed) == []
         assert calls == {}
@@ -229,16 +261,17 @@ class TestFailureDetails:
         checks = ("verify_degrees", "verify_neighborhoods", "verify_cliques",
                   "verify_type_determinacy")
         names = ("are_adjacent", "neighbors", "apply_transfer", "induced_neighborhood",
-                 "observe", "local_type", *checks)
+                 "observe", "_graph_relation", "local_type", *checks)
         calls = self.count_calls(monkeypatch, modules, names)
         assert run_all(8).passed
-        # One neighbors call and one induced neighborhood per partition; 363
-        # neighbor-pair tests plus one test per move's target, 218 = the sum
-        # of the degrees; apply_transfer once per move; each check and one
-        # local type read once per partition; one observe per weight.
+        # One neighbors call and one induced neighborhood per partition; one
+        # adjacency test per move's target, 218 = the sum of the degrees, as
+        # the neighbor pairs are read off G_n; apply_transfer once per move;
+        # each check and one local type read once per partition; one observe
+        # and one relation built from G_n per weight.
         assert calls == {
             "neighbors": 66, "induced_neighborhood": 66,
-            "are_adjacent": 363 + 218, "apply_transfer": 218, "observe": 8,
+            "are_adjacent": 218, "apply_transfer": 218, "observe": 8, "_graph_relation": 8,
             "local_type": 66, **dict.fromkeys(checks, 66),
         }
         calls.clear()
@@ -321,12 +354,25 @@ class TestRunAll:
 
 class TestReportPlumbing:
     def test_failures_flip_the_verdict(self):
-        bad = CheckResult("degrees", 1, [
+        bad = CheckResult("degrees", 1, (
             {"check": "degrees", "n": 3, "partition": "2,1", "detail": "fabricated"},
-        ])
-        good = CheckResult("cliques", 1, [])
-        report = VerificationReport((1, 3), [good, bad])
+        ))
+        good = CheckResult("cliques", 1, ())
+        report = VerificationReport((1, 3), (good, bad))
         assert not bad.passed
         assert good.passed
         assert not report.passed
         assert report.to_json()["pass"] is False
+
+    def test_lists_are_rejected(self):
+        # A list would compare unequal to its tuple twin and could not be hashed.
+        failure = {"check": "degrees", "n": 3, "partition": "2,1", "detail": "fabricated"}
+        with pytest.raises(ValueError, match="failures must be a tuple"):
+            CheckResult("degrees", 1, [failure])
+        with pytest.raises(ValueError, match="checks must be a tuple"):
+            VerificationReport((1, 3), [CheckResult("cliques", 1)])
+        result = CheckResult("degrees", 1, (failure,))
+        with pytest.raises(ValueError):
+            result._replace(failures=[failure])
+        with pytest.raises(ValueError):
+            CheckResult._make(["degrees", 1, [failure], 0.0])
