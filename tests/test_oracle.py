@@ -21,8 +21,8 @@ from partgraph import (
     run_all,
     verify_cliques,
     verify_degrees,
-    verify_neighborhoods,
     verify_line_graph_theorem,
+    verify_neighborhoods,
     verify_type_determinacy,
 )
 from partgraph.cli import main
