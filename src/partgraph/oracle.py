@@ -286,8 +286,8 @@ def verify_cliques(o: Observation, T: LocalType) -> list[dict]:
 
 def _local_signature(check: NeighborhoodCheck, cliques: list[tuple[TransferMove, ...]]) -> dict:
     # Read off the observation of the concrete partition: moves from the
-    # admissibility test, adjacency from conjugates of the actual neighbors,
-    # clique number from search on that graph.  Nothing reads the type-level
+    # admissibility test, adjacency of the actual neighbors in G_n, clique
+    # number from search on that graph.  Nothing reads the type-level
     # closed forms or another check's prediction.
     moves = check.moves
     omega = 1 + max(map(len, cliques), default=0)
