@@ -17,10 +17,12 @@ exact text the standard library's `json` module gives for
 `dumps(payload, indent=2)`: two spaces per level, ASCII only, other
 characters as `\\u` escapes, then a newline.  `_json` writes it.  With an
 indent the standard library runs its pure-Python encoder, one generator
-step per token.  `_json` maps each run of scalars of one type through the C
-string or int encoder and joins it once, and fills sibling containers of
-one shape (edges, moves, clique entries) into one shared `str.format`
-template, so most items cost no Python-level call.
+step per token.  `_write` instead writes each scalar in place through the C
+string encoder or its type's repr, and recurses into each container; rows
+of ints of one width (the edges of a graph) are filled into one shared
+`str.format` template.  The C string encoder comes from the standard
+library's `_json` extension module, so importing the CLI does not load the
+`json` package.
 
 `main` parses with one parser per process.  It is built by the first `main`
 call, not at import, and only read afterwards: `parse_args` keeps no state
@@ -36,8 +38,13 @@ import argparse
 import functools
 import sys
 from itertools import chain, starmap
-from json.encoder import encode_basestring_ascii
-from typing import Collection, Iterable, Sequence
+from typing import Sequence
+
+try:
+    # The C string encoder, without loading the `json` package around it.
+    from _json import encode_basestring_ascii
+except ImportError:  # `_json` is private to CPython
+    from json.encoder import encode_basestring_ascii
 
 from .graphs import (
     build_partition_graph,
@@ -102,64 +109,6 @@ _SCALAR = {
 _BASES = (str, int, float, list, tuple, dict)
 
 
-@functools.lru_cache(maxsize=256)
-def _layout(shape: tuple[str, ...] | int, indent: str) -> str:
-    """The `str.format` template of a dict with the keys `shape`, or of a
-    list of `shape` items, whose first line starts at `indent`."""
-    inner = indent + "  "
-    if type(shape) is int:
-        return "[" + inner + ("," + inner).join(["{}"] * shape) + indent + "]"
-    fields = [encode_basestring_ascii(key).replace("{", "{{").replace("}", "}}") + ": {}"
-              for key in shape]
-    return "{{" + inner + ("," + inner).join(fields) + indent + "}}"
-
-
-def _rows(rows: Collection, kind: type, indent: str) -> Iterable[str] | None:
-    """The texts of sibling containers of one shape, each filled into one
-    shared `_layout`; None for any other siblings.
-
-    Dicts must have the same keys in the same order.  Their values are
-    encoded column by column, each column one batch for `_items`: the moves
-    of a neighborhood, the entries of a bijection or of a clique list.
-    Lists and tuples must have one length and hold only ints: the edges of
-    a graph.
-    """
-    if kind is dict:
-        shapes = set(map(tuple, rows))
-    elif kind is list or kind is tuple:
-        shapes = set(map(len, rows))
-    else:
-        return None
-    if len(shapes) != 1 or not (shape := shapes.pop()):
-        return None
-    if kind is dict:
-        inner = indent + "  "
-        columns = [_items(column, inner) for column in zip(*map(dict.values, rows))]
-        return starmap(_layout(shape, indent).format, zip(*columns))
-    if set(map(type, chain.from_iterable(rows))) != {int}:
-        return None
-    return starmap(_layout(shape, indent).format, rows)
-
-
-def _items(values: Collection, indent: str) -> Iterable[str]:
-    """The texts of a container's values, each on a line that starts at `indent`.
-
-    Values of one scalar type, such as the parts of a partition, map through
-    that type's encoder, and containers of one shape go through `_rows`;
-    otherwise each scalar is encoded in place and each container recurses.
-    """
-    kinds = set(map(type, values))
-    if len(kinds) == 1:
-        kind = kinds.pop()
-        if kind in _SCALAR:
-            return map(_SCALAR[kind], values)
-        rows = _rows(values, kind, indent)
-        if rows is not None:
-            return rows
-    return [encode(value) if (encode := _SCALAR.get(type(value))) else _write(value, indent)
-            for value in values]
-
-
 def _write(value: object, indent: str) -> str:
     """`value` as `json`'s `dumps(value, indent=2)` writes it, when its first
     line starts at `indent` (a newline and two spaces per level).
@@ -169,20 +118,32 @@ def _write(value: object, indent: str) -> str:
     that is not a str, raises TypeError.
     """
     kind = type(value)
-    if kind not in _SCALAR and kind not in _BASES:
-        kind = next((base for base in _BASES if isinstance(value, base)), None)
-        if kind is None:
-            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    if kind in _SCALAR:
-        return _SCALAR[kind](value)
+    if kind is not dict and kind is not list and kind is not tuple:
+        if kind not in _SCALAR:
+            kind = next((base for base in _BASES if isinstance(value, base)), None)
+            if kind is None:
+                raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        if kind in _SCALAR:
+            return _SCALAR[kind](value)
     if not value:
         return "{}" if kind is dict else "[]"
     inner = indent + "  "
     if kind is dict:
-        keys = map(encode_basestring_ascii, value)
-        fields = map("{}: {}".format, keys, _items(value.values(), inner))
+        fields = [f"{encode_basestring_ascii(key)}: "
+                  f"{encode(item) if (encode := _SCALAR.get(type(item))) else _write(item, inner)}"
+                  for key, item in value.items()]
         return "{" + inner + ("," + inner).join(fields) + indent + "}"
-    return "[" + inner + ("," + inner).join(_items(value, inner)) + indent + "]"
+    if (kind is list and type(value[0]) is list and {*map(type, value)} == {list}
+            and {*map(len, value)} == {len(value[0])}
+            and {*map(type, chain.from_iterable(value))} == {int}):
+        # Rows of ints of one width, such as the edges of a graph: one template.
+        cell = inner + "  "
+        row = "[" + cell + ("," + cell).join(["{}"] * len(value[0])) + inner + "]"
+        items = starmap(row.format, value)
+    else:
+        items = [encode(item) if (encode := _SCALAR.get(type(item))) else _write(item, inner)
+                 for item in value]
+    return "[" + inner + ("," + inner).join(items) + indent + "]"
 
 
 def _json(payload: object) -> str:

@@ -41,7 +41,9 @@ after it: the build of G_n and of its index for degrees,
 `verify_line_graph_theorem` for neighborhoods and the clique search for
 cliques.  type_determinacy's time is its own.
 
-Each failure records the partition, both values and a `replay` CLI command.
+Each failure records the partition, both values and a `replay` CLI command:
+`partgraph verify --nmax n`, the sweep up to the failing partition's weight,
+with `--degrees-only` when the failure came from that mode.
 """
 
 from __future__ import annotations
@@ -149,12 +151,9 @@ CHECKS = ("degrees", "neighborhoods", "cliques", "type_determinacy")
 
 
 def _failure(check: str, p: Partition, detail: str, degrees_only: bool = False) -> dict:
-    if check == "neighborhoods":
-        replay = f"partgraph neighborhood {p}"
-    elif check == "cliques":
-        replay = f"partgraph cliques {p}"
-    else:
-        replay = f"partgraph verify --nmax {p.weight}" + (" --degrees-only" if degrees_only else "")
+    # The replay reruns the sweep up to p's weight: a failure that only G_n
+    # or a move's target shows has no single-partition command that sees it.
+    replay = f"partgraph verify --nmax {p.weight}" + (" --degrees-only" if degrees_only else "")
     return {"check": check, "n": p.weight, "partition": str(p), "detail": detail, "replay": replay}
 
 

@@ -373,3 +373,9 @@ class TestImportCost:
             capture_output=True, text=True, check=True,
         )
         assert found.stdout == "[]\n"
+
+    def test_import_loads_no_json_package(self):
+        # The writer needs one C function of `json`, which `_json` holds alone.
+        probe = "import sys, partgraph.cli; sys.exit('json' in sys.modules)"
+        subprocess.run([sys.executable, "-S", "-c", probe],
+                       env={**os.environ, "PYTHONPATH": str(SRC)}, check=True)

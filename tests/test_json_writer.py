@@ -8,6 +8,10 @@ that form, so re-encoding what it parsed changes nothing.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from typing import NamedTuple
 
 import pytest
@@ -79,6 +83,8 @@ class TestWriter:
         [2**100, -(2**100)], Move(1, 2), [Move(1, 2), Move(3, 4)], {"m": Move([], {})},
         [{"{i}": 1, "j}": 2}, {"{i}": 3, "j}": 4}], [{"i": 1, "j": 2}, {"j": 3, "i": 4}],
         TRICKY, {TRICKY: [TRICKY]},
+        [[1, 2], [3, True]], [[1, 2], [3]], [[], []], [[1, 2], (3, 4)],
+        {"e": [[0, 1], [1, 2]]}, [[-1, 2**70]],
     ])
     def test_edge_cases(self, payload):
         assert cli._json(payload) == stdlib(payload)
@@ -89,6 +95,33 @@ class TestWriter:
     def test_non_json_raises_type_error(self, payload):
         with pytest.raises(TypeError):
             cli._json(payload)
+
+
+class TestWithoutCEncoder:
+    def test_pure_python_string_encoder(self):
+        # `_json` is private to CPython; without it the writer takes the
+        # encoder `json.encoder` falls back to, and writes the same bytes.
+        probe = """if True:
+            import sys
+            sys.modules["_json"] = None
+            from partgraph import cli
+            from json.encoder import py_encode_basestring_ascii
+            assert cli.encode_basestring_ascii is py_encode_basestring_ascii
+            sys.stdout.write(cli._json(eval(sys.stdin.read())))
+            try:
+                cli._json({1: "a"})
+            except TypeError:
+                pass
+            else:
+                raise AssertionError("a non-str key was written")
+        """
+        src = Path(__file__).resolve().parent.parent / "src"
+        payload = [TRICKY, {TRICKY: [TRICKY, TRICKY[::-1]]}, {"k": [[1, 2], [3, 4]]}]
+        written = subprocess.run(
+            [sys.executable, "-c", probe], input=ascii(payload), capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)}, check=True,
+        )
+        assert written.stdout == stdlib(payload)
 
 
 def raw_stdout(capsys, *argv):

@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 from itertools import count
 from types import SimpleNamespace
@@ -10,6 +11,7 @@ import partgraph.transfers
 from partgraph import (
     CheckResult,
     Partition,
+    SimpleGraph,
     TransferMove,
     VerificationReport,
     build_partition_graph,
@@ -116,6 +118,14 @@ class TestTypeDeterminacyFailures:
             assert failure["replay"] == f"partgraph verify --nmax {failure['n']}"
 
 
+def replayed_failures(capsys, replay):
+    """The failures of the report a replay command prints; it must exit 1."""
+    capsys.readouterr()
+    assert main(replay.split()[1:]) == 1
+    report = json.loads(capsys.readouterr().out)
+    return [f for check in report["checks"] for f in check["failures"]]
+
+
 class TestFailureDetails:
     def test_degrees_count_distinct_neighbors(self, monkeypatch):
         # Send both moves of 4,4 (1->1 and 1->2) to the partition 1->1 reaches.
@@ -154,21 +164,18 @@ class TestFailureDetails:
     ])
     def test_neighborhood_pair_detail(self, monkeypatch, capsys, adjacent, flagged):
         # The sweep joins two targets through the relation it builds from G_n,
-        # and the replay through `are_adjacent`; the fault goes into both.
-        # Vertex indices of G_n are distinct exactly when their partitions are.
+        # so the fault goes into that seam alone, and the replay reruns the
+        # sweep through it.  Vertex indices of G_n are distinct exactly when
+        # their partitions are.
         graph_relation = partgraph.oracle._graph_relation
         monkeypatch.setattr(partgraph.oracle, "_graph_relation",
                             lambda graph: (graph_relation(graph)[0], adjacent))
         failures = [f for o in observe(4) for f in verify_neighborhoods(o)]
         assert [(f["partition"], f["detail"]) for f in failures] == flagged
         assert all(f["check"] == "neighborhoods" and f["n"] == 4 for f in failures)
-        assert [f["replay"] for f in failures] == [
-            f"partgraph neighborhood {partition}" for partition, _ in flagged
-        ]
-        monkeypatch.setattr(partgraph.graphs, "are_adjacent", adjacent)
-        for replay in {f["replay"] for f in failures}:
-            assert main([*replay.split()[1:], "--format", "json"]) == 0
-            assert '"verified": false' in capsys.readouterr().out
+        assert {f["replay"] for f in failures} == {"partgraph verify --nmax 4"}
+        replayed = replayed_failures(capsys, "partgraph verify --nmax 4")
+        assert all(failure in replayed for failure in failures)
 
     def test_clique_number_mismatch_detail(self, monkeypatch):
         formula = partgraph.oracle.local_clique_number
@@ -180,9 +187,7 @@ class TestFailureDetails:
             for partition, omega in searched
         ]
         assert [(f["partition"], f["detail"]) for f in failures] == expected
-        assert [f["replay"] for f in failures] == [
-            f"partgraph cliques {partition}" for partition, _ in expected
-        ]
+        assert {f["replay"] for f in failures} == {"partgraph verify --nmax 4"}
 
     def test_dimension_is_checked_against_the_search_once(self, monkeypatch):
         # The dimension formula is compared with the clique search in
@@ -198,7 +203,7 @@ class TestFailureDetails:
         for failure in failures["type_determinacy"]:
             assert failure["detail"].startswith("dimension disagrees with the type model")
 
-    def test_target_not_adjacent_to_its_partition(self, monkeypatch):
+    def test_target_not_adjacent_to_its_partition(self, monkeypatch, capsys):
         # Send the move 1->2 of 2,2 back to 2,2 itself: its pairs still agree
         # with corner sharing, so only the target check can see it.
         apply = partgraph.transfers.apply_transfer
@@ -210,8 +215,30 @@ class TestFailureDetails:
         monkeypatch.setattr(partgraph.transfers, "apply_transfer", back_home)
         failures = [f for o in observe(4) for f in verify_neighborhoods(o)]
         assert [(f["partition"], f["detail"], f["replay"]) for f in failures] == [
-            ("2,2", "move 1->2: target 2,2 is not adjacent", "partgraph neighborhood 2,2"),
+            ("2,2", "move 1->2: target 2,2 is not adjacent", "partgraph verify --nmax 4"),
         ]
+        assert failures[0] in replayed_failures(capsys, failures[0]["replay"])
+
+    def test_every_replay_reproduces_a_fault_only_the_graph_shows(self, monkeypatch, capsys):
+        # Drop the edge 2,2 -- 2,1,1 from G_4: `are_adjacent` still joins the
+        # two, so only the checks that read G_n see the fault, and each replay
+        # must see it too.
+        build = partgraph.oracle.build_partition_graph
+        dropped = {make_partition([2, 2]), make_partition([2, 1, 1])}
+
+        def without_edge(n):
+            graph = build(n)
+            edges = frozenset(e for e in graph.edges if {graph.labels[a] for a in e} != dropped)
+            return SimpleGraph(graph.labels, edges)
+
+        monkeypatch.setattr(partgraph.oracle, "build_partition_graph", without_edge)
+        failures = [f for c in run_all(4).checks for f in c.failures]
+        assert {f["check"] for f in failures} == set(partgraph.oracle.CHECKS)
+        assert ("3,1", "pair 1->2/1->3: adjacent_in_graph=False, share_corner=True") in {
+            (f["partition"], f["detail"]) for f in failures
+        }
+        for failure in failures:
+            assert failure in replayed_failures(capsys, failure["replay"]), failure
 
     def test_a_target_of_another_weight_is_rejected(self, monkeypatch):
         # Send the move 1->2 of 2,2 to 2,1,1,1, of weight 5: G_n of weight 4
