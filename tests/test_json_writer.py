@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 from typing import NamedTuple
 
@@ -101,7 +102,7 @@ class TestWithoutCEncoder:
     def test_pure_python_string_encoder(self):
         # `_json` is private to CPython; without it the writer takes the
         # encoder `json.encoder` falls back to, and writes the same bytes.
-        probe = """if True:
+        probe = textwrap.dedent("""
             import sys
             sys.modules["_json"] = None
             from partgraph import cli
@@ -114,7 +115,7 @@ class TestWithoutCEncoder:
                 pass
             else:
                 raise AssertionError("a non-str key was written")
-        """
+        """)
         src = Path(__file__).resolve().parent.parent / "src"
         payload = [TRICKY, {TRICKY: [TRICKY, TRICKY[::-1]]}, {"k": [[1, 2], [3, 4]]}]
         written = subprocess.run(
