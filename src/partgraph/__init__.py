@@ -24,7 +24,6 @@ from .graphs import (
     verify_line_graph_theorem,
 )
 from .local_model import (
-    AdmissibilityGraph,
     LocalType,
     admissibility_graph,
     degree_formula,

@@ -161,14 +161,14 @@ def cmd_partitions(args: argparse.Namespace) -> tuple[str, int]:
 def cmd_local(args: argparse.Namespace) -> tuple[str, int]:
     p = args.partition
     T = local_type(p)
-    B = admissibility_graph(T)
+    moves = admissibility_graph(T)
     left, right = side_degrees(T)
     if args.format == "json":
         return _json({
             "partition": p.to_json(),
             "weight": p.weight,
             "type": T.to_json(),
-            "admissibility_graph": B.to_json(),
+            "admissibility_graph": {"t": T.t, "edges": [list(move) for move in moves]},
             "degree": degree_formula(T),
             "removable_side_degrees": list(left),
             "addable_side_degrees": list(right),
@@ -176,14 +176,13 @@ def cmd_local(args: argparse.Namespace) -> tuple[str, int]:
             "local_dimension": local_dimension(T),
         }), 0
     blocks = " ".join(f"{size}^{mult}" for size, mult in p.blocks)
-    moves = " ".join(map(str, B.sorted_edges()))
     return "\n".join([
         f"partition: {p}  (weight {p.weight})",
         f"blocks: {blocks}",
         f"support size: {T.t}",
         f"singleton bits (alpha): {' '.join(map(str, T.alpha))}",
         f"unit-gap bits (beta): {' '.join(map(str, T.beta))}",
-        f"admissible moves ({B.edge_count}): {moves}",
+        f"admissible moves ({len(moves)}): {' '.join(map(str, moves))}",
         f"degree: {degree_formula(T)}",
         f"removable-side degrees: {' '.join(map(str, left))}",
         f"addable-side degrees: {' '.join(map(str, right))}",
@@ -241,10 +240,7 @@ def cmd_neighborhood(args: argparse.Namespace) -> tuple[str, int]:
         f"violations: {len(check.violations)}"
     )
     for v in check.violations:
-        lines.append(
-            f"  VIOLATION {v.first}/{v.second}: adjacent_in_graph={v.adjacent_in_graph}, "
-            f"share_corner={v.share_corner}"
-        )
+        lines.append(f"  VIOLATION {v}")
     lines.append(f"verified: {'yes' if check.verified else 'NO'}")
     return "\n".join(lines) + "\n", 0
 

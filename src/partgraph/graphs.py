@@ -14,7 +14,6 @@ from functools import cached_property
 from itertools import accumulate, chain, combinations
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .local_model import AdmissibilityGraph
 from .partitions import Partition, conjugate, enumerate_partitions
 from .transfers import TransferMove, are_adjacent, neighbors
 
@@ -22,10 +21,10 @@ from .transfers import TransferMove, are_adjacent, neighbors
 class SimpleGraph:
     """An undirected simple graph over an ordered tuple of opaque labels.
 
-    Edges are stored as index pairs (a, b) with a < b into the label tuple.
-    Immutable, and equal and hashed as `(labels, edges)`; a plain class, not
-    a named tuple, because it keeps its adjacency in its instance dict once
-    built (`_adjacency`).
+    Edges are stored as index pairs (a, b) of ints with a < b into the label
+    tuple.  Immutable, and equal and hashed as `(labels, edges)`; a plain
+    class, not a named tuple, because it keeps its adjacency in its instance
+    dict once built (`_adjacency`, one int bitset per vertex).
     """
 
     labels: tuple[Any, ...]
@@ -35,9 +34,12 @@ class SimpleGraph:
         # A list or a set would make the graph unhashable and unequal to its twin.
         if type(labels) is not tuple or type(edges) is not frozenset:
             raise ValueError("labels must be a tuple and edges a frozenset")
+        count = len(labels)
         for a, b in edges:
-            if not (0 <= a < b < len(labels)):
-                raise ValueError(f"edge ({a}, {b}) invalid for {len(labels)} vertices")
+            # bool and float compare equal to ints, but JSON writes them
+            # otherwise, and a float can neither index a vertex nor shift a bit.
+            if type(a) is not int or type(b) is not int or not (0 <= a < b < count):
+                raise ValueError(f"edge ({a}, {b}) invalid for {count} vertices")
         self.__dict__.update(labels=labels, edges=edges)
 
     def __eq__(self, other: object) -> bool:
@@ -69,16 +71,17 @@ class SimpleGraph:
         return sorted(self.edges)
 
     @cached_property
-    def _adjacency(self) -> tuple[frozenset[int], ...]:
-        """Neighbor set of each vertex, built once from the edges."""
-        adj: list[set[int]] = [set() for _ in self.labels]
+    def _adjacency(self) -> tuple[int, ...]:
+        """The neighbors of each vertex as an int bitset, bit b for vertex b,
+        built once from the edges."""
+        masks = [0] * len(self.labels)
         for a, b in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        return tuple(frozenset(nbrs) for nbrs in adj)
+            masks[a] |= 1 << b
+            masks[b] |= 1 << a
+        return tuple(masks)
 
     def degree(self, v: int) -> int:
-        return len(self._adjacency[v])
+        return self._adjacency[v].bit_count()
 
     def to_json(self) -> dict:
         return {
@@ -173,9 +176,9 @@ def induced_neighborhood(
     return SimpleGraph(moves, _relation_edges(vertices, related))
 
 
-def line_graph(B: AdmissibilityGraph) -> SimpleGraph:
-    """Vertices are the edges of B, which are moves; adjacency is sharing an endpoint."""
-    moves = tuple(B.sorted_edges())
+def line_graph(moves: tuple[TransferMove, ...]) -> SimpleGraph:
+    """The line graph of the bipartite graph whose edges are the moves, labeled
+    by the moves in the given order; adjacency is sharing an endpoint."""
     return SimpleGraph(moves, _relation_edges(moves, _share_corner))
 
 
@@ -186,6 +189,10 @@ class PairCheck(NamedTuple):
     second: TransferMove
     adjacent_in_graph: bool
     share_corner: bool
+
+    def __str__(self) -> str:
+        return (f"{self.first}/{self.second}: adjacent_in_graph={self.adjacent_in_graph}, "
+                f"share_corner={self.share_corner}")
 
 
 class NeighborhoodCheck(NamedTuple):
@@ -231,7 +238,7 @@ def verify_line_graph_theorem(
     nbrs = neighbors(p)
     observed = induced_neighborhood(nbrs, relation)
     moves = observed.labels
-    corners = line_graph(AdmissibilityGraph(p.support_size, frozenset(moves)))
+    corners = line_graph(moves)
     violations = tuple(
         PairCheck(moves[a], moves[b], (a, b) in observed.edges, (a, b) in corners.edges)
         for a, b in sorted(observed.edges ^ corners.edges)
@@ -251,15 +258,13 @@ def _maximal_cliques(graph: SimpleGraph) -> Iterator[frozenset[int]]:
     """Every maximal nonempty clique of the graph, as a frozenset of vertex indices.
 
     Bron-Kerbosch with a pivot, on int bitsets: bit v of a set stands for
-    vertex v.  The pivot is the vertex of the candidates and the excluded
-    with the most neighbors among the candidates, the lowest on ties, and
-    the candidates that are not its neighbors are expanded lowest first, so
-    the order of the cliques is deterministic.
+    vertex v, and the neighbor sets are the graph's `_adjacency`.  The pivot
+    is the vertex of the candidates and the excluded with the most neighbors
+    among the candidates, the lowest on ties, and the candidates that are not
+    its neighbors are expanded lowest first, so the order of the cliques is
+    deterministic.
     """
-    masks = [0] * graph.vertex_count
-    for a, b in graph.edges:
-        masks[a] |= 1 << b
-        masks[b] |= 1 << a
+    masks = graph._adjacency
 
     def expand(clique: int, candidates: int, excluded: int) -> Iterator[frozenset[int]]:
         if not candidates:

@@ -67,26 +67,6 @@ class LocalType(_LocalTypeFields):
         return {"t": self.t, "alpha": list(self.alpha), "beta": list(self.beta)}
 
 
-class AdmissibilityGraph(NamedTuple):
-    """Bipartite graph of admissible moves: left vertices 1..t, right 1..t+1.
-
-    Each edge is the move i->j between removable corner i and addable corner j.
-    """
-
-    t: int
-    edges: frozenset[TransferMove]
-
-    def sorted_edges(self) -> list[TransferMove]:
-        return sorted(self.edges)
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
-    def to_json(self) -> dict:
-        return {"t": self.t, "edges": [list(edge) for edge in self.sorted_edges()]}
-
-
 def local_type(p: Partition) -> LocalType:
     """Read the local type off the block form."""
     alpha = tuple(1 if mult == 1 else 0 for _, mult in p.blocks)
@@ -94,19 +74,16 @@ def local_type(p: Partition) -> LocalType:
     return LocalType(p.support_size, alpha, beta)
 
 
-def admissibility_graph(T: LocalType) -> AdmissibilityGraph:
-    """The full t x (t+1) grid of moves minus one diagonal move per singleton
-    block and one successor move per unit gap.  Its edges are the admissible
-    moves out of any partition of type T."""
-    deleted = {(i, i) for i in range(1, T.t + 1) if T.alpha[i - 1]}
-    deleted |= {(i, i + 1) for i in range(1, T.t + 1) if T.beta[i - 1]}
-    edges = frozenset(
+def admissibility_graph(T: LocalType) -> tuple[TransferMove, ...]:
+    """The edges of B(T), in sorted order: the full t x (t+1) grid of moves
+    minus one diagonal move per singleton block and one successor move per
+    unit gap.  They are the admissible moves out of any partition of type T."""
+    return tuple(
         TransferMove(i, j)
         for i in range(1, T.t + 1)
         for j in range(1, T.t + 2)
-        if (i, j) not in deleted
+        if not (j == i and T.alpha[i - 1] or j == i + 1 and T.beta[i - 1])
     )
-    return AdmissibilityGraph(T.t, edges)
 
 
 def degree_formula(T: LocalType) -> int:

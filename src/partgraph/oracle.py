@@ -180,9 +180,9 @@ def _graph_relation(graph: SimpleGraph) -> Relation:
     """Adjacency in G_n, as the relation `verify_line_graph_theorem` takes.
 
     Each target is looked up once, by its parts, among the vertices of G_n,
-    and two vertices are joined when one is in the other's adjacency.  A
-    target that G_n does not hold has another weight, and is rejected as
-    `are_adjacent` rejects it.
+    and vertices a and b are joined when bit b of a's adjacency bitset is
+    set.  A target that G_n does not hold has another weight, and is
+    rejected as `are_adjacent` rejects it.
     """
     index = {q.parts: a for a, q in enumerate(graph.labels)}
     adjacency = graph._adjacency
@@ -194,7 +194,7 @@ def _graph_relation(graph: SimpleGraph) -> Relation:
                              f"G_n has {graph.labels[0].weight}")
         return a
 
-    return vertex, lambda a, b: b in adjacency[a]
+    return vertex, lambda a, b: adjacency[a] >> b & 1
 
 
 def observe(n: int) -> Iterator[Observation]:
@@ -245,11 +245,7 @@ def verify_neighborhoods(o: Observation) -> list[dict]:
     check, p = o.neighborhood, o.partition
     failures = []
     for v in check.violations:
-        failures.append(_failure(
-            "neighborhoods", p,
-            f"pair {v.first}/{v.second}: adjacent_in_graph={v.adjacent_in_graph}, "
-            f"share_corner={v.share_corner}",
-        ))
+        failures.append(_failure("neighborhoods", p, f"pair {v}"))
     for move, target in zip(check.moves, check.targets):
         if not are_adjacent(p, target):
             failures.append(_failure(
@@ -300,11 +296,10 @@ def _local_signature(check: NeighborhoodCheck, cliques: list[tuple[TransferMove,
 
 
 def _type_prediction(T: LocalType) -> dict:
-    B = admissibility_graph(T)
-    L = line_graph(B)
+    moves = admissibility_graph(T)
     return {
-        "moves": tuple(B.sorted_edges()),
-        "adjacency": tuple(sorted((L.labels[a], L.labels[b]) for a, b in L.edges)),
+        "moves": moves,
+        "adjacency": tuple((moves[a], moves[b]) for a, b in line_graph(moves).sorted_edges()),
         "degree": degree_formula(T),
         "clique_number": local_clique_number(T),
         "dimension": local_dimension(T),

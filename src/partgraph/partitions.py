@@ -37,10 +37,10 @@ class Partition:
 
     `__init__` is the only way in: it stores the parts and calls
     `__post_init__`, which validates them and stores the block form and the
-    weight.  The validating step keeps the name it had when this class was a
-    dataclass, and `__init__` looks it up on the instance, because callers
-    wrap it under that name: the `partitions.Partition` probe in
-    `bench/tracer.py` and the tests count validated constructions through it.
+    weight.  The validating step has that name, and `__init__` looks it up
+    on the instance, because callers wrap it under that name: the
+    `partitions.Partition` probe in `bench/tracer.py` and the tests count
+    validated constructions through it.
     """
 
     parts: tuple[int, ...]

@@ -10,6 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import partgraph.graphs
 import partgraph.oracle
 from partgraph import cli
 from partgraph.cli import main
@@ -134,6 +135,23 @@ class TestNeighborhoodCommand:
         code, out, _ = run_cli(capsys, "neighborhood", "3,2,1")
         assert code == 0
         assert "verified: yes" in out
+
+    def test_violation_lines(self, capsys, monkeypatch):
+        # No two neighbors adjacent: of the three moves out of 3,1, only
+        # 1->2 and 1->3 share a corner, so that pair is the one violation.
+        monkeypatch.setattr(partgraph.graphs, "are_adjacent", lambda p, q: False)
+        _, out, _ = run_cli(capsys, "neighborhood", "3,1")
+        assert out.splitlines()[-2:] == [
+            "  VIOLATION 1->2/1->3: adjacent_in_graph=False, share_corner=True",
+            "verified: NO",
+        ]
+        _, out, _ = run_cli(capsys, "neighborhood", "3,1", "--format", "json")
+        payload = json.loads(out)
+        assert payload["violations"] == [{
+            "first": {"i": 1, "j": 2}, "second": {"i": 1, "j": 3},
+            "adjacent_in_graph": False, "share_corner": True,
+        }]
+        assert payload["verified"] is False
 
 
 class TestCliquesCommand:

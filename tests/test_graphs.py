@@ -79,11 +79,15 @@ class TestSimpleGraph:
     def test_adjacency_agrees_with_edge_scan(self, g):
         for v in range(g.vertex_count):
             scanned = {b if a == v else a for a, b in g.edges if v in (a, b)}
-            assert g._adjacency[v] == scanned
+            assert {u for u in range(g.vertex_count) if g._adjacency[v] >> u & 1} == scanned
+            assert g._adjacency[v] >> g.vertex_count == 0
             assert g.degree(v) == len(scanned)
         assert sum(g.degree(v) for v in range(g.vertex_count)) == 2 * g.edge_count
 
-    @pytest.mark.parametrize("edges", [{(0, 3)}, {(1, 0)}, {(2, 2)}])
+    # (True, 2) would equal the edge (1, 2) yet be written as [true, 2] in
+    # JSON; a float cannot index a vertex.
+    @pytest.mark.parametrize("edges", [{(0, 3)}, {(1, 0)}, {(2, 2)},
+                                       {(True, 2)}, {(0.0, 2.5)}, {(0, 2.0)}])
     def test_rejects_bad_edges(self, edges):
         with pytest.raises(ValueError):
             SimpleGraph(("a", "b", "c"), frozenset(edges))
@@ -214,6 +218,19 @@ class TestLineGraph:
         L = line_graph(admissibility_graph(local_type(make_partition([3, 2, 1]))))
         assert L.vertex_count == 6
         assert L.sorted_edges() == [(0, 1), (1, 3), (2, 3), (2, 4), (4, 5)]
+
+    @pytest.mark.parametrize("parts", [[4, 4, 2, 2], [3, 2, 1], [4, 2, 1], [9]])
+    def test_labels_keep_the_given_order(self, parts):
+        moves = admissibility_graph(local_type(make_partition(parts)))
+        forward, backward = line_graph(moves), line_graph(moves[::-1])
+        last = len(moves) - 1
+        assert forward.labels == moves
+        assert backward.labels == moves[::-1]
+        assert backward.edges == frozenset((last - b, last - a) for a, b in forward.edges)
+
+    def test_rejects_a_list(self):
+        with pytest.raises(ValueError):
+            line_graph([move("1->1"), move("1->2")])
 
     def test_neighborhood_equals_line_graph_on_labels(self):
         for n in range(1, 9):

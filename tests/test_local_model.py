@@ -1,5 +1,7 @@
 import copy
+import json
 from collections import Counter
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from partgraph import (
     neighbors,
     side_degrees,
 )
+from partgraph.cli import main
 from partgraph.graphs import _maximal_cliques
 
 from test_block_form import block_patterns, from_pattern
@@ -91,33 +94,35 @@ class TestLocalType:
 class TestAdmissibilityGraph:
     def test_full_grid_when_no_obstructions(self):
         B = admissibility_graph(LocalType(2, (0, 0), (0, 0)))
-        assert B.sorted_edges() == [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)]
+        assert B == ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3))
 
     def test_single_edge_types(self):
-        assert admissibility_graph(LocalType(1, (1,), (0,))).sorted_edges() == [(1, 2)]
-        assert admissibility_graph(LocalType(1, (0,), (1,))).sorted_edges() == [(1, 1)]
-        assert admissibility_graph(LocalType(1, (1,), (1,))).sorted_edges() == []
+        assert admissibility_graph(LocalType(1, (1,), (0,))) == ((1, 2),)
+        assert admissibility_graph(LocalType(1, (0,), (1,))) == ((1, 1),)
+        assert admissibility_graph(LocalType(1, (1,), (1,))) == ()
 
     def test_staircase_deletions(self):
         B = admissibility_graph(staircase_type(3))
-        assert B.sorted_edges() == [(1, 3), (1, 4), (2, 1), (2, 4), (3, 1), (3, 2)]
+        assert B == ((1, 3), (1, 4), (2, 1), (2, 4), (3, 1), (3, 2))
 
-    def test_json_form(self):
-        assert admissibility_graph(LocalType(1, (0,), (0,))).to_json() == {
+    def test_json_form(self, capsys):
+        # `local` writes B as its support size and its edges, 1-based and sorted.
+        assert main(["local", "2,2", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["admissibility_graph"] == {
             "t": 1, "edges": [[1, 1], [1, 2]],
         }
 
     @given(partitions)
     def test_edges_are_exactly_the_admissible_moves(self, p):
         B = admissibility_graph(local_type(p))
-        assert set(B.edges) == set(neighbors(p))
+        assert set(B) == set(neighbors(p))
 
     @staticmethod
     def assert_edges_are_the_neighbor_moves_in_order(p):
         moves = list(neighbors(p))
         assert moves == sorted(moves)
-        edges = admissibility_graph(local_type(p)).sorted_edges()
-        assert edges == moves
+        edges = admissibility_graph(local_type(p))
+        assert edges == tuple(moves)
         assert all(type(edge) is TransferMove for edge in edges)
 
     def test_sorted_edges_are_the_neighbor_moves_up_to_weight_12(self):
@@ -129,6 +134,22 @@ class TestAdmissibilityGraph:
     @given(block_patterns())
     def test_sorted_edges_are_the_neighbor_moves_on_block_patterns(self, pattern):
         self.assert_edges_are_the_neighbor_moves_in_order(from_pattern(*pattern))
+
+    def test_every_type_to_four_gives_its_smallest_partition_s_moves_in_order(self):
+        types = [LocalType(t, alpha, beta)
+                 for t in range(1, 5)
+                 for alpha in product((0, 1), repeat=t)
+                 for beta in product((0, 1), repeat=t)]
+        assert len(types) == 340
+        for T in types:
+            # Multiplicity 1 on a singleton block, else 2; gap 1 on a unit gap, else 2.
+            p = from_pattern(tuple(2 - bit for bit in T.beta), tuple(2 - bit for bit in T.alpha))
+            assert local_type(p) == T
+            B = admissibility_graph(T)
+            assert type(B) is tuple
+            assert all(type(move) is TransferMove for move in B)
+            assert all(first < second for first, second in zip(B, B[1:]))
+            assert B == tuple(neighbors(p))
 
 
 class TestDegreeFormula:
@@ -143,7 +164,7 @@ class TestDegreeFormula:
 
     @given(local_types())
     def test_matches_edge_count(self, T):
-        assert degree_formula(T) == admissibility_graph(T).edge_count
+        assert degree_formula(T) == len(admissibility_graph(T))
 
 
 class TestSideDegrees:
@@ -163,11 +184,11 @@ class TestSideDegrees:
     def test_matches_vertex_degree_counting(self, T):
         B = admissibility_graph(T)
         left, right = side_degrees(T)
-        removable = Counter(i for i, _ in B.edges)
-        addable = Counter(j for _, j in B.edges)
+        removable = Counter(i for i, _ in B)
+        addable = Counter(j for _, j in B)
         assert left == tuple(removable[i] for i in range(1, T.t + 1))
         assert right == tuple(addable[j] for j in range(1, T.t + 2))
-        assert sum(left) == sum(right) == B.edge_count
+        assert sum(left) == sum(right) == len(B)
 
 
 class TestCliqueNumber:

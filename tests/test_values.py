@@ -1,4 +1,4 @@
-"""Value semantics of partgraph's ten value classes.
+"""Value semantics of partgraph's nine value classes.
 
 Each class is pinned by its repr, by equality and hashing of equal values
 built independently, by immutability, and by round trips through `copy`,
@@ -11,7 +11,6 @@ import pickle
 import pytest
 
 from partgraph import (
-    AdmissibilityGraph,
     CheckResult,
     CliqueClassification,
     LocalType,
@@ -45,8 +44,6 @@ FROZEN = [
     (Partition, lambda: Partition((2, 1)), "Partition(parts=(2, 1))", True),
     (LocalType, lambda: local_type(Partition((2, 1))),
      "LocalType(t=2, alpha=(1, 1), beta=(1, 1))", True),
-    (AdmissibilityGraph, lambda: AdmissibilityGraph(1, frozenset({TransferMove(1, 2)})),
-     "AdmissibilityGraph(t=1, edges=frozenset({TransferMove(i=1, j=2)}))", True),
     (SimpleGraph, lambda: SimpleGraph(("a", "b"), frozenset({(0, 1)})),
      "SimpleGraph(labels=('a', 'b'), edges=frozenset({(0, 1)}))", True),
     (PairCheck, lambda: PairCheck(TransferMove(1, 1), TransferMove(1, 2), True, False),
@@ -74,7 +71,6 @@ FROZEN = [
 FIELDS = {
     Partition: ("parts",),
     LocalType: ("t", "alpha", "beta"),
-    AdmissibilityGraph: ("t", "edges"),
     SimpleGraph: ("labels", "edges"),
     PairCheck: ("first", "second", "adjacent_in_graph", "share_corner"),
     NeighborhoodCheck: ("partition", "neighborhood", "targets", "corners", "violations"),
