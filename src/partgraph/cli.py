@@ -204,9 +204,11 @@ def cmd_graph(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def cmd_neighborhood(args: argparse.Namespace) -> tuple[str, int]:
+    # Exit status 1 on any violation, as `verify` exits 1 on any failure.
     p = args.partition
     check = verify_line_graph_theorem(p)
     observed, predicted = check.neighborhood, check.corners
+    status = 0 if check.verified else 1
     if args.format == "json":
         return _json({
             "partition": p.to_json(),
@@ -229,7 +231,7 @@ def cmd_neighborhood(args: argparse.Namespace) -> tuple[str, int]:
                 for v in check.violations
             ],
             "verified": check.verified,
-        }), 0
+        }), status
     lines = [f"partition: {p}  (weight {p.weight})", f"neighbors: {len(check.targets)}"]
     for move, target in zip(check.moves, check.targets):
         lines.append(f"  {move}  =>  {target}")
@@ -242,7 +244,7 @@ def cmd_neighborhood(args: argparse.Namespace) -> tuple[str, int]:
     for v in check.violations:
         lines.append(f"  VIOLATION {v}")
     lines.append(f"verified: {'yes' if check.verified else 'NO'}")
-    return "\n".join(lines) + "\n", 0
+    return "\n".join(lines) + "\n", status
 
 
 def cmd_cliques(args: argparse.Namespace) -> tuple[str, int]:

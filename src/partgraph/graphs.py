@@ -10,7 +10,6 @@ the clique classification exhaustive.
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import accumulate, chain, combinations
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -70,15 +69,19 @@ class SimpleGraph:
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
 
-    @cached_property
-    def _adjacency(self) -> tuple[int, ...]:
-        """The neighbors of each vertex as an int bitset, bit b for vertex b,
-        built once from the edges."""
+    def __getattr__(self, name: str) -> Any:
+        # Called only for a name the instance dict lacks.  `_adjacency`, the
+        # neighbors of each vertex as an int bitset (bit b for vertex b), is
+        # built from the edges on first use and stored there by hand, as
+        # `Partition.blocks` is, so no read of it takes a lock.
+        if name != "_adjacency":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         masks = [0] * len(self.labels)
         for a, b in self.edges:
             masks[a] |= 1 << b
             masks[b] |= 1 << a
-        return tuple(masks)
+        self.__dict__["_adjacency"] = adjacency = tuple(masks)
+        return adjacency
 
     def degree(self, v: int) -> int:
         return self._adjacency[v].bit_count()
@@ -222,9 +225,21 @@ class NeighborhoodCheck(NamedTuple):
         return not self.violations
 
 
+def corner_violations(observed: SimpleGraph) -> tuple[PairCheck, ...]:
+    """Every pair of a neighborhood's move labels on which its adjacency
+    disagrees with corner sharing, the edges of the moves' line graph."""
+    moves = observed.labels
+    corners = line_graph(moves)
+    return tuple(
+        PairCheck(moves[a], moves[b], (a, b) in observed.edges, (a, b) in corners.edges)
+        for a, b in sorted(observed.edges ^ corners.edges)
+    )
+
+
 def verify_line_graph_theorem(
     p: Partition,
     relation: Relation | None = None,
+    compare: Callable[[SimpleGraph], tuple[PairCheck, ...]] | None = None,
 ) -> NeighborhoodCheck:
     """Check every pair of neighbors of p: adjacent in the transfer graph of
     p's weight exactly when their moves share a removable or an addable corner.
@@ -233,16 +248,16 @@ def verify_line_graph_theorem(
     induced neighborhood of the actual neighbor partitions, under `relation`
     when given (see `induced_neighborhood`) and the conjugate-coordinate test
     otherwise; corner sharing looks only at the move labels, through the line
-    graph of the bipartite graph the moves form.
+    graph of the bipartite graph the moves form.  `compare` stands in for
+    `corner_violations`; the full sweep passes one that compares each
+    distinct neighborhood once.  A neighborhood without violations has its
+    line graph's labels and edges, so it stands in for that graph.
     """
     nbrs = neighbors(p)
     observed = induced_neighborhood(nbrs, relation)
     moves = observed.labels
-    corners = line_graph(moves)
-    violations = tuple(
-        PairCheck(moves[a], moves[b], (a, b) in observed.edges, (a, b) in corners.edges)
-        for a, b in sorted(observed.edges ^ corners.edges)
-    )
+    violations = (corner_violations if compare is None else compare)(observed)
+    corners = line_graph(moves) if violations else observed
     return NeighborhoodCheck(p, observed, tuple(map(nbrs.get, moves)), corners, violations)
 
 

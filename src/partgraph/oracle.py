@@ -36,10 +36,26 @@ the count of `neighbors` and against corner sharing of the move labels.
 `are_adjacent` is still checked once per move, between the partition and
 the move's target.
 
+By the line graph theorem, many partitions show the same observed
+neighborhood: 507 partitions of weight <= 14 show 80 graphs.  So `run_all`
+keeps one memo, a dict that dies with the call, keyed by the observed
+neighborhood (its move labels and the edges read off G_n), never by the
+local type.  It holds only what is a pure function of that graph: the
+violations of the corner comparison, the maximal cliques, the outcome of
+classifying them and, keyed by the graph and a local type, the
+type_determinacy comparison.  A graph without violations has its corner
+graph's labels and edges and stands in for it, so no corner graph is kept.
+Every partition still gets its own moves, targets, lookups in G_n, observed
+graph, `are_adjacent` per move, degree check and failure records; a fault
+that changes one partition's observation changes its key, so that graph is
+compared and searched afresh.  Called without a memo, as the tests call
+them, `observe` and the checks derive everything for each partition.
+
 In the report, each check's time includes the part of the observation named
 after it: the build of G_n and of its index for degrees,
 `verify_line_graph_theorem` for neighborhoods and the clique search for
-cliques.  type_determinacy's time is its own.
+cliques.  type_determinacy's time is its own.  A memo hit's lookup is
+charged to the check whose step it replaces.
 
 Each failure records the partition, both values and a `replay` CLI command:
 `partgraph verify --nmax n`, the sweep up to the failing partition's weight,
@@ -49,7 +65,7 @@ with `--degrees-only` when the failure came from that mode.
 from __future__ import annotations
 
 import time
-from typing import Iterable, Iterator, NamedTuple
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from .graphs import (
     CliqueClassificationError,
@@ -59,6 +75,7 @@ from .graphs import (
     build_partition_graph,
     classify_clique,
     cliques_through,
+    corner_violations,
     line_graph,
     verify_line_graph_theorem,
 )
@@ -157,6 +174,21 @@ def _failure(check: str, p: Partition, detail: str, degrees_only: bool = False) 
     return {"check": check, "n": p.weight, "partition": str(p), "detail": detail, "replay": replay}
 
 
+def _once(memo: dict | None, key: tuple, derive: Callable[[], Any]) -> Any:
+    """derive(), kept in memo under key when a memo is given.
+
+    Every key is a tag and an observed neighborhood, and for type_determinacy
+    a local type too, so what is kept is a pure function of the key.  Without
+    a memo, derive() runs on every call.
+    """
+    if memo is None:
+        return derive()
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = derive()
+    return value
+
+
 class Observation(NamedTuple):
     """One partition of weight n as brute force sees it, made once for all four checks.
 
@@ -197,23 +229,29 @@ def _graph_relation(graph: SimpleGraph) -> Relation:
     return vertex, lambda a, b: adjacency[a] >> b & 1
 
 
-def observe(n: int) -> Iterator[Observation]:
+def observe(n: int, memo: dict | None = None) -> Iterator[Observation]:
     """Observe each partition of n once, in enumeration order.
 
     G_n and its index are built before the first observation, which is
     charged their time.  Observations are made one at a time, so a sweep
     holds one partition's neighborhood at once, however many partitions the
-    weight has.
+    weight has.  Each partition gets its own moves, targets and observed
+    neighborhood; with a memo, the corner comparison and the clique search
+    of that neighborhood run only the first time the memo sees the graph.
     """
+    def compare(observed: SimpleGraph) -> tuple:
+        return _once(memo, ("corners", observed), lambda: corner_violations(observed))
+
     start = time.perf_counter()
     graph = build_partition_graph(n)
     relation = _graph_relation(graph)
     build_ms = (time.perf_counter() - start) * 1000
     for idx, p in enumerate(graph.labels):
         start = time.perf_counter()
-        check = verify_line_graph_theorem(p, relation)
+        check = verify_line_graph_theorem(p, relation, compare)
         compared = time.perf_counter()
-        cliques = cliques_through(check.neighborhood)
+        observed = check.neighborhood
+        cliques = _once(memo, ("cliques", observed), lambda: cliques_through(observed))
         ms = {"degrees": build_ms, "neighborhoods": (compared - start) * 1000,
               "cliques": (time.perf_counter() - compared) * 1000}
         yield Observation(check, cliques, graph.degree(idx), ms)
@@ -254,23 +292,30 @@ def verify_neighborhoods(o: Observation) -> list[dict]:
     return failures
 
 
-def verify_cliques(o: Observation, T: LocalType) -> list[dict]:
-    """Clique check of one observation, of a partition of local type T.
-
-    Every maximal clique found by search must classify by a shared corner,
-    and one plus the largest clique size must match the closed-form clique
-    number.
-    """
-    p, cliques = o.partition, o.cliques
-    failures = []
+def _classified(cliques: list[tuple[TransferMove, ...]]) -> tuple[tuple[str, ...], int]:
+    """The detail of each clique that does not classify, and one plus the largest size."""
+    unclassifiable = []
     for clique in cliques:
         try:
             classify_clique(clique)
         except CliqueClassificationError as exc:
-            failures.append(_failure(
-                "cliques", p, f"unclassifiable clique {[str(m) for m in clique]}: {exc}",
-            ))
-    searched = 1 + max((len(clique) for clique in cliques), default=0)
+            unclassifiable.append(f"unclassifiable clique {[str(m) for m in clique]}: {exc}")
+    return tuple(unclassifiable), 1 + max((len(clique) for clique in cliques), default=0)
+
+
+def verify_cliques(o: Observation, T: LocalType, memo: dict | None = None) -> list[dict]:
+    """Clique check of one observation, of a partition of local type T.
+
+    Every maximal clique found by search must classify by a shared corner,
+    and one plus the largest clique size must match the closed-form clique
+    number.  With a memo, the cliques of each distinct observed neighborhood
+    are classified once.
+    """
+    p = o.partition
+    unclassifiable, searched = _once(
+        memo, ("classified", o.neighborhood.neighborhood), lambda: _classified(o.cliques),
+    )
+    failures = [_failure("cliques", p, detail) for detail in unclassifiable]
     formula = local_clique_number(T)
     if searched != formula:
         failures.append(_failure(
@@ -306,27 +351,29 @@ def _type_prediction(T: LocalType) -> dict:
     }
 
 
-def verify_type_determinacy(o: Observation, T: LocalType, predictions: dict) -> list[dict]:
+def verify_type_determinacy(o: Observation, T: LocalType, predictions: dict,
+                            memo: dict | None = None) -> list[dict]:
     """A partition must expose the local data its local type T alone predicts.
 
     Checking every partition, of any weight, against its type's model means,
     by transitivity, that all partitions of a type agree with each other,
     across weights.  `predictions` keeps the model of each type seen;
-    `run_all` passes one dict to every call.
+    `run_all` passes one dict to every call.  With a memo, each distinct
+    observed neighborhood is compared once per type it is seen with.
     """
-    p = o.partition
-    signature = _local_signature(o.neighborhood, o.cliques)
-    if T not in predictions:
-        predictions[T] = _type_prediction(T)
-    predicted = predictions[T]
-    return [
-        _failure(
-            "type_determinacy", p,
-            f"{key} disagrees with the type model: {signature[key]!r} vs {predicted[key]!r}",
+    def disagreements() -> tuple[str, ...]:
+        signature = _local_signature(o.neighborhood, o.cliques)
+        if T not in predictions:
+            predictions[T] = _type_prediction(T)
+        predicted = predictions[T]
+        return tuple(
+            f"{key} disagrees with the type model: {signature[key]!r} vs {predicted[key]!r}"
+            for key in signature
+            if signature[key] != predicted[key]
         )
-        for key in signature
-        if signature[key] != predicted[key]
-    ]
+
+    details = _once(memo, ("type_determinacy", o.neighborhood.neighborhood, T), disagreements)
+    return [_failure("type_determinacy", o.partition, detail) for detail in details]
 
 
 def run_all(n_max: int, degrees_only: bool = False) -> VerificationReport:
@@ -337,7 +384,9 @@ def run_all(n_max: int, degrees_only: bool = False) -> VerificationReport:
     tallies locally, one list of failures and one time per check and one
     count of partitions examined, and builds the report once, after the
     loop.  Each check's time is its own plus the part of the observation
-    charged to it.  With degrees_only, only the neighbor count versus formula
+    charged to it.  A full sweep passes one memo, made here and dropped on
+    return, to `observe` and to the cliques and type_determinacy checks.
+    With degrees_only, only the neighbor count versus formula
     comparison runs on each enumerated partition (no graph build, no pair
     tests); that mode stays cheap at weights where the full sweep would not.
     """
@@ -349,13 +398,14 @@ def run_all(n_max: int, degrees_only: bool = False) -> VerificationReport:
         seen = ((p, local_type(p), {}) for n in weights for p in enumerate_partitions(n))
     else:
         predictions: dict[LocalType, dict] = {}
+        memo: dict = {}
         checks = [
             lambda o, T: verify_degrees(o.partition, T, o.neighborhood.targets, o.graph_degree),
             lambda o, T: verify_neighborhoods(o),
-            verify_cliques,
-            lambda o, T: verify_type_determinacy(o, T, predictions),
+            lambda o, T: verify_cliques(o, T, memo),
+            lambda o, T: verify_type_determinacy(o, T, predictions, memo),
         ]
-        seen = ((o, local_type(o.partition), o.ms) for n in weights for o in observe(n))
+        seen = ((o, local_type(o.partition), o.ms) for n in weights for o in observe(n, memo))
     failures: dict[str, list[dict]] = {name: [] for name in CHECKS[:len(checks)]}
     ms = dict.fromkeys(failures, 0.0)
     examined = 0

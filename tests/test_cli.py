@@ -139,13 +139,16 @@ class TestNeighborhoodCommand:
     def test_violation_lines(self, capsys, monkeypatch):
         # No two neighbors adjacent: of the three moves out of 3,1, only
         # 1->2 and 1->3 share a corner, so that pair is the one violation.
+        # Either form exits 1, as a failing `verify` does.
         monkeypatch.setattr(partgraph.graphs, "are_adjacent", lambda p, q: False)
-        _, out, _ = run_cli(capsys, "neighborhood", "3,1")
+        code, out, _ = run_cli(capsys, "neighborhood", "3,1")
+        assert code == 1
         assert out.splitlines()[-2:] == [
             "  VIOLATION 1->2/1->3: adjacent_in_graph=False, share_corner=True",
             "verified: NO",
         ]
-        _, out, _ = run_cli(capsys, "neighborhood", "3,1", "--format", "json")
+        code, out, _ = run_cli(capsys, "neighborhood", "3,1", "--format", "json")
+        assert code == 1
         payload = json.loads(out)
         assert payload["violations"] == [{
             "first": {"i": 1, "j": 2}, "second": {"i": 1, "j": 3},

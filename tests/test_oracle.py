@@ -313,6 +313,133 @@ class TestFailureDetails:
                          "apply_transfer": 218}
 
 
+def unmemoised_failures(n_max):
+    """Each check's failures to weight n_max, from the four checks in run_all's
+    order but called without a memo, so every observation is derived afresh."""
+    oracle = partgraph.oracle
+    predictions = {}
+    failures = {name: [] for name in oracle.CHECKS}
+    for o in observe_up_to(n_max):
+        T = oracle.local_type(o.partition)
+        failures["degrees"] += verify_degrees(o.partition, T, o.neighborhood.targets,
+                                              o.graph_degree)
+        failures["neighborhoods"] += verify_neighborhoods(o)
+        failures["cliques"] += verify_cliques(o, T)
+        failures["type_determinacy"] += verify_type_determinacy(o, T, predictions)
+    return failures
+
+
+def sweep_failures(n_max):
+    return {c.name: list(c.failures) for c in run_all(n_max).checks}
+
+
+class TestSweepMemo:
+    """run_all derives what is a pure function of an observed neighborhood once
+    per distinct graph; its failures must be those of the checks without it."""
+
+    def test_a_graph_fault_fails_as_without_the_memo(self, monkeypatch):
+        # Drop the edge 5,3 -- 4,3,1 from G_8: 4,4 and 5,2,1 then observe
+        # graphs with their type-mates' labels but one edge fewer.
+        build = partgraph.oracle.build_partition_graph
+        dropped = {make_partition([5, 3]), make_partition([4, 3, 1])}
+
+        def without_edge(n):
+            graph = build(n)
+            edges = frozenset(e for e in graph.edges if {graph.labels[a] for a in e} != dropped)
+            return SimpleGraph(graph.labels, edges)
+
+        monkeypatch.setattr(partgraph.oracle, "build_partition_graph", without_edge)
+        failures = sweep_failures(10)
+        assert failures == unmemoised_failures(10)
+        assert all(failures.values())
+        assert {f["partition"] for f in failures["type_determinacy"]} == {"4,4", "5,2,1"}
+
+    def test_a_wrong_type_model_fails_as_without_the_memo(self, monkeypatch):
+        bad_type = local_type(make_partition([2, 2]))
+        predict = partgraph.oracle._type_prediction
+
+        def wrong_degree(T):
+            predicted = predict(T)
+            if T == bad_type:
+                predicted["degree"] += 1
+            return predicted
+
+        monkeypatch.setattr(partgraph.oracle, "_type_prediction", wrong_degree)
+        failures = sweep_failures(8)
+        assert failures == unmemoised_failures(8)
+        assert len(failures["type_determinacy"]) == 5
+
+    def test_one_graph_read_with_two_types_is_compared_with_each(self, monkeypatch):
+        # Give 4,4 the type of 3,1: its graph is the one 2,2 showed first, so a
+        # memo keyed by the graph alone would pass it on 2,2's comparison.
+        wrong = {make_partition([4, 4]): local_type(make_partition([3, 1]))}
+        read = partgraph.oracle.local_type
+        monkeypatch.setattr(partgraph.oracle, "local_type", lambda p: wrong.get(p) or read(p))
+        failures = sweep_failures(8)
+        assert failures == unmemoised_failures(8)
+        flagged = {f["partition"] for check in failures.values() for f in check}
+        assert flagged == {"4,4"}
+        assert failures["type_determinacy"]
+
+    @pytest.mark.parametrize("target", [
+        make_partition([4, 4]),  # its own graph again; only the target check sees it
+        make_partition([6, 2]),  # not adjacent to 4,3,1, so its graph loses an edge
+    ])
+    def test_a_fault_in_one_partitions_targets_fails_it_alone(self, monkeypatch, target):
+        # 4,4 shares its graph with 2,2, 3,3, 2,2,2 and 2,2,2,2, which come
+        # before or after it in the sweep; only 4,4's move 1->1 is changed.
+        apply = partgraph.transfers.apply_transfer
+        broken = make_partition([4, 4])
+
+        def redirected(p, move):
+            return target if (p, move) == (broken, (1, 1)) else apply(p, move)
+
+        monkeypatch.setattr(partgraph.transfers, "apply_transfer", redirected)
+        failures = sweep_failures(8)
+        assert failures == unmemoised_failures(8)
+        flagged = [f for check in failures.values() for f in check]
+        assert flagged and {(f["partition"], f["n"]) for f in flagged} == {("4,4", 8)}
+        assert {f["replay"] for f in flagged} == {"partgraph verify --nmax 8"}
+
+    def test_every_partition_of_a_failing_graph_gets_its_own_record(self, monkeypatch):
+        # Reject the clique 1->1/1->2, which is maximal in the graph of 2,2 and
+        # of each of its type-mates: each must fail with its own partition,
+        # weight and replay, though the clique is classified once.
+        rejected = (TransferMove(1, 1), TransferMove(1, 2))
+        classify = partgraph.oracle.classify_clique
+
+        def reject(clique):
+            if tuple(clique) == rejected:
+                raise partgraph.oracle.CliqueClassificationError("rejected")
+            return classify(clique)
+
+        monkeypatch.setattr(partgraph.oracle, "classify_clique", reject)
+        failures = sweep_failures(8)
+        assert failures == unmemoised_failures(8)
+        expected = [o.partition for o in observe_up_to(8) if rejected in o.cliques]
+        assert len({p.weight for p in expected}) > 1
+        assert [(f["partition"], f["n"], f["replay"]) for f in failures["cliques"]] == [
+            (str(p), p.weight, f"partgraph verify --nmax {p.weight}") for p in expected
+        ]
+
+    def test_each_distinct_graph_is_searched_once_per_sweep(self, monkeypatch):
+        distinct = {}
+        for o in observe_up_to(14):
+            distinct.setdefault(o.neighborhood.neighborhood, o.cliques)
+        assert len(distinct) == 80
+        calls = TestFailureDetails.count_calls(
+            monkeypatch, (partgraph.oracle,), ("cliques_through", "classify_clique"),
+        )
+        expected = {"cliques_through": 80,
+                    "classify_clique": sum(map(len, distinct.values()))}
+        assert run_all(14).passed
+        assert calls == expected
+        # The memo dies with the sweep: a second one searches every graph again.
+        calls.clear()
+        assert run_all(14).passed
+        assert calls == expected
+
+
 class TestRunAll:
     def test_aggregates_all_four_checks(self):
         report = run_all(6)
