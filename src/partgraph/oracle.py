@@ -39,8 +39,8 @@ the move's target.
 By the line graph theorem, many partitions show the same observed
 neighborhood: 507 partitions of weight <= 14 show 80 graphs.  So `run_all`
 keeps one memo, a dict that dies with the call, keyed by the observed
-neighborhood (its move labels and the edges read off G_n), never by the
-local type.  It holds only what is a pure function of that graph: the
+neighborhood (its move labels and the edges read off G_n, as its bitset
+adjacency), never by the local type.  It holds only what is a pure function of that graph: the
 violations of the corner comparison, the maximal cliques, the outcome of
 classifying them and, keyed by the graph and a local type, the
 type_determinacy comparison.  A graph without violations has its corner
@@ -174,15 +174,17 @@ def _failure(check: str, p: Partition, detail: str, degrees_only: bool = False) 
     return {"check": check, "n": p.weight, "partition": str(p), "detail": detail, "replay": replay}
 
 
-def _once(memo: dict | None, key: tuple, derive: Callable[[], Any]) -> Any:
-    """derive(), kept in memo under key when a memo is given.
+def _once(memo: dict | None, derive: Callable[[], Any], tag: str, graph: SimpleGraph,
+          *rest: Any) -> Any:
+    """derive(), kept in memo once per tag, observed neighborhood and rest.
 
-    Every key is a tag and an observed neighborhood, and for type_determinacy
-    a local type too, so what is kept is a pure function of the key.  Without
-    a memo, derive() runs on every call.
+    The graph enters the key as its labels and its bitset adjacency, which
+    hold what its edges hold in a fraction of the memory; type_determinacy
+    adds the local type as rest.  Without a memo, derive() runs every time.
     """
     if memo is None:
         return derive()
+    key = (tag, graph.labels, graph._adjacency, *rest)
     value = memo.get(key)
     if value is None:
         value = memo[key] = derive()
@@ -240,7 +242,7 @@ def observe(n: int, memo: dict | None = None) -> Iterator[Observation]:
     of that neighborhood run only the first time the memo sees the graph.
     """
     def compare(observed: SimpleGraph) -> tuple:
-        return _once(memo, ("corners", observed), lambda: corner_violations(observed))
+        return _once(memo, lambda: corner_violations(observed), "corners", observed)
 
     start = time.perf_counter()
     graph = build_partition_graph(n)
@@ -251,7 +253,7 @@ def observe(n: int, memo: dict | None = None) -> Iterator[Observation]:
         check = verify_line_graph_theorem(p, relation, compare)
         compared = time.perf_counter()
         observed = check.neighborhood
-        cliques = _once(memo, ("cliques", observed), lambda: cliques_through(observed))
+        cliques = _once(memo, lambda: cliques_through(observed), "cliques", observed)
         ms = {"degrees": build_ms, "neighborhoods": (compared - start) * 1000,
               "cliques": (time.perf_counter() - compared) * 1000}
         yield Observation(check, cliques, graph.degree(idx), ms)
@@ -313,7 +315,7 @@ def verify_cliques(o: Observation, T: LocalType, memo: dict | None = None) -> li
     """
     p = o.partition
     unclassifiable, searched = _once(
-        memo, ("classified", o.neighborhood.neighborhood), lambda: _classified(o.cliques),
+        memo, lambda: _classified(o.cliques), "classified", o.neighborhood.neighborhood,
     )
     failures = [_failure("cliques", p, detail) for detail in unclassifiable]
     formula = local_clique_number(T)
@@ -372,7 +374,7 @@ def verify_type_determinacy(o: Observation, T: LocalType, predictions: dict,
             if signature[key] != predicted[key]
         )
 
-    details = _once(memo, ("type_determinacy", o.neighborhood.neighborhood, T), disagreements)
+    details = _once(memo, disagreements, "type_determinacy", o.neighborhood.neighborhood, T)
     return [_failure("type_determinacy", o.partition, detail) for detail in details]
 
 
