@@ -239,7 +239,8 @@ def observe(n: int, memo: dict | None = None) -> Iterator[Observation]:
     holds one partition's neighborhood at once, however many partitions the
     weight has.  Each partition gets its own moves, targets and observed
     neighborhood; with a memo, the corner comparison and the clique search
-    of that neighborhood run only the first time the memo sees the graph.
+    of that neighborhood run only the first time the memo sees the graph,
+    and the observations of one graph share its list of cliques.
     """
     def compare(observed: SimpleGraph) -> tuple:
         return _once(memo, lambda: corner_violations(observed), "corners", observed)
