@@ -70,10 +70,9 @@ class SimpleGraph:
         return sorted(self.edges)
 
     def __getattr__(self, name: str) -> Any:
-        # Called only for a name the instance dict lacks.  `_adjacency`, the
-        # neighbors of each vertex as an int bitset (bit b for vertex b), is
-        # built from the edges on first use and stored there by hand, as
-        # `Partition.blocks` is, so no read of it takes a lock.
+        # Called only for a name missing from the instance dict: `_adjacency`,
+        # an int bitset of each vertex's neighbors, is stored there on first
+        # use, with no lock, as `Partition.blocks` is.
         if name != "_adjacency":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         masks = [0] * len(self.labels)
@@ -248,10 +247,9 @@ def verify_line_graph_theorem(
     induced neighborhood of the actual neighbor partitions, under `relation`
     when given (see `induced_neighborhood`) and the conjugate-coordinate test
     otherwise; corner sharing looks only at the move labels, through the line
-    graph of the bipartite graph the moves form.  `compare` stands in for
-    `corner_violations`; the full sweep passes one that compares each
-    distinct neighborhood once.  A neighborhood without violations has its
-    line graph's labels and edges, so it stands in for that graph.
+    graph of the bipartite graph the moves form.  `compare` replaces
+    `corner_violations`, so a sweep can compare each distinct neighborhood
+    once.  A neighborhood without violations stands in for its line graph.
     """
     nbrs = neighbors(p)
     observed = induced_neighborhood(nbrs, relation)

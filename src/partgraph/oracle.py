@@ -36,26 +36,20 @@ the count of `neighbors` and against corner sharing of the move labels.
 `are_adjacent` is still checked once per move, between the partition and
 the move's target.
 
-By the line graph theorem, many partitions show the same observed
-neighborhood: 507 partitions of weight <= 14 show 80 graphs.  So `run_all`
-keeps one memo, a dict that dies with the call, keyed by the observed
-neighborhood (its move labels and the edges read off G_n, as its bitset
-adjacency), never by the local type.  It holds only what is a pure function of that graph: the
-violations of the corner comparison, the maximal cliques, the outcome of
-classifying them and, keyed by the graph and a local type, the
-type_determinacy comparison.  A graph without violations has its corner
-graph's labels and edges and stands in for it, so no corner graph is kept.
-Every partition still gets its own moves, targets, lookups in G_n, observed
-graph, `are_adjacent` per move, degree check and failure records; a fault
-that changes one partition's observation changes its key, so that graph is
-compared and searched afresh.  Called without a memo, as the tests call
-them, `observe` and the checks derive everything for each partition.
+`run_all` keeps one memo per call.  By the line graph theorem many
+partitions show the same observed neighborhood (507 of weight <= 14 show
+80), so what is a pure function of that graph (the corner comparison, the
+clique search, the classification of the cliques and, per local type, the
+type_determinacy comparison) is derived once per distinct graph, keyed by
+its move labels and the adjacency read off G_n, never by the type.  Each
+partition still gets its own moves, targets, lookups in G_n, `are_adjacent`
+per move, degree check and failure records.
 
 In the report, each check's time includes the part of the observation named
 after it: the build of G_n and of its index for degrees,
 `verify_line_graph_theorem` for neighborhoods and the clique search for
-cliques.  type_determinacy's time is its own.  A memo hit's lookup is
-charged to the check whose step it replaces.
+cliques.  type_determinacy's time is its own.  A memo lookup is charged
+to the check whose step it replaces.
 
 Each failure records the partition, both values and a `replay` CLI command:
 `partgraph verify --nmax n`, the sweep up to the failing partition's weight,
@@ -176,11 +170,9 @@ def _failure(check: str, p: Partition, detail: str, degrees_only: bool = False) 
 
 def _once(memo: dict | None, derive: Callable[[], Any], tag: str, graph: SimpleGraph,
           *rest: Any) -> Any:
-    """derive(), kept in memo once per tag, observed neighborhood and rest.
+    """derive(), kept in memo per tag, graph and rest; without a memo, run every time.
 
-    The graph enters the key as its labels and its bitset adjacency, which
-    hold what its edges hold in a fraction of the memory; type_determinacy
-    adds the local type as rest.  Without a memo, derive() runs every time.
+    The graph's key is its labels and bitset adjacency: its edges in less memory.
     """
     if memo is None:
         return derive()
@@ -237,10 +229,9 @@ def observe(n: int, memo: dict | None = None) -> Iterator[Observation]:
     G_n and its index are built before the first observation, which is
     charged their time.  Observations are made one at a time, so a sweep
     holds one partition's neighborhood at once, however many partitions the
-    weight has.  Each partition gets its own moves, targets and observed
-    neighborhood; with a memo, the corner comparison and the clique search
-    of that neighborhood run only the first time the memo sees the graph,
-    and the observations of one graph share its list of cliques.
+    weight has.  With a memo, the corner comparison and the clique search
+    run once per distinct observed neighborhood, whose observations share
+    one list of cliques.
     """
     def compare(observed: SimpleGraph) -> tuple:
         return _once(memo, lambda: corner_violations(observed), "corners", observed)
@@ -311,8 +302,8 @@ def verify_cliques(o: Observation, T: LocalType, memo: dict | None = None) -> li
 
     Every maximal clique found by search must classify by a shared corner,
     and one plus the largest clique size must match the closed-form clique
-    number.  With a memo, the cliques of each distinct observed neighborhood
-    are classified once.
+    number.  With a memo, each distinct neighborhood's cliques are
+    classified once.
     """
     p = o.partition
     unclassifiable, searched = _once(
@@ -362,7 +353,7 @@ def verify_type_determinacy(o: Observation, T: LocalType, predictions: dict,
     by transitivity, that all partitions of a type agree with each other,
     across weights.  `predictions` keeps the model of each type seen;
     `run_all` passes one dict to every call.  With a memo, each distinct
-    observed neighborhood is compared once per type it is seen with.
+    neighborhood is compared once per type.
     """
     def disagreements() -> tuple[str, ...]:
         signature = _local_signature(o.neighborhood, o.cliques)
@@ -387,9 +378,9 @@ def run_all(n_max: int, degrees_only: bool = False) -> VerificationReport:
     tallies locally, one list of failures and one time per check and one
     count of partitions examined, and builds the report once, after the
     loop.  Each check's time is its own plus the part of the observation
-    charged to it.  A full sweep passes one memo, made here and dropped on
-    return, to `observe` and to the cliques and type_determinacy checks.
-    With degrees_only, only the neighbor count versus formula
+    charged to it.  One memo, made per call, goes to `observe` and to the
+    cliques and type_determinacy checks.  With degrees_only, only the
+    neighbor count versus formula
     comparison runs on each enumerated partition (no graph build, no pair
     tests); that mode stays cheap at weights where the full sweep would not.
     """
