@@ -36,14 +36,14 @@ the count of `neighbors` and against corner sharing of the move labels.
 `are_adjacent` is still checked once per move, between the partition and
 the move's target.
 
-`run_all` keeps one memo per call.  By the line graph theorem many
-partitions show the same observed neighborhood (507 of weight <= 14 show
-80), so what is a pure function of that graph (the corner comparison, the
-clique search, the classification of the cliques and, per local type, the
-type_determinacy comparison) is derived once per distinct graph, keyed by
-its move labels and the adjacency read off G_n, never by the type.  Each
-partition still gets its own moves, targets, lookups in G_n, `are_adjacent`
-per move, degree check and failure records.
+`run_all` keeps one memo, which dies with the call.  By the line graph
+theorem many partitions show the same observed neighborhood (507 of weight
+<= 14 show 80), so what is a pure function of that graph (the corner
+comparison, the clique search, the classification of the cliques and, per
+local type, the type_determinacy comparison) is derived once per distinct
+graph, keyed by its move labels and the adjacency read off G_n, never by
+the type.  Each partition still gets its own moves, targets, lookups in
+G_n, `are_adjacent` per move, degree check and failure records.
 
 In the report, each check's time includes the part of the observation named
 after it: the build of G_n and of its index for degrees,
