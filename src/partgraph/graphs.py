@@ -178,9 +178,26 @@ def induced_neighborhood(
     return SimpleGraph(moves, _relation_edges(vertices, related))
 
 
+def _require_moves(moves: tuple) -> None:
+    # bool and float compare equal to ints, so a corner set could report True
+    # for corner 1, and True would share corner 1 with 1; each move is checked
+    # before corners are compared or merged.
+    if type(moves) is not tuple or not all(
+        type(move) is TransferMove and type(move.i) is type(move.j) is int and min(move) >= 1
+        for move in moves
+    ):
+        raise ValueError(f"moves must be a tuple of TransferMoves with positive integer corners, got {moves}")
+
+
 def line_graph(moves: tuple[TransferMove, ...]) -> SimpleGraph:
     """The line graph of the bipartite graph whose edges are the moves, labeled
-    by the moves in the given order; adjacency is sharing an endpoint."""
+    by the moves in the given order; adjacency is sharing an endpoint.
+
+    Only a tuple of `TransferMove`s with int corners >= 1 is taken.  The check
+    is made here and not in `TransferMove`, which `neighbors` builds for every
+    cell of its move grid.
+    """
+    _require_moves(moves)
     return SimpleGraph(moves, _relation_edges(moves, _share_corner))
 
 
@@ -336,10 +353,7 @@ def classify_clique(moves: Iterable[TransferMove]) -> CliqueClassification:
     common endpoint, so a clique that fits neither pattern is an error.
     """
     moves = tuple(moves)
-    # bool and float compare equal to ints, so a corner set could report True
-    # for corner 1; each move is checked before the sets merge equal indices.
-    if any(type(index) is not int or index < 1 for index in chain.from_iterable(moves)):
-        raise ValueError(f"corner indices must be positive integers, got {moves}")
+    _require_moves(moves)
     members = frozenset(moves)
     if not members:
         raise ValueError("cannot classify an empty set of moves")

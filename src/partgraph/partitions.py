@@ -2,11 +2,15 @@
 
 A partition is stored as a weakly decreasing tuple of positive parts.  Most
 local computations work on the block form: the run-length encoding of the
-parts into (size, multiplicity) pairs with strictly decreasing sizes.  Every
-partition is built by `Partition(...)`, which validates the parts and, in
-the same pass over them, builds the block form and the weight; it holds all
-three from construction on.  `make_partition` and `parse_partition` go
-through it too, so input is checked at the edge.
+parts into (size, multiplicity) pairs with strictly decreasing sizes.  There
+are two ways in.  `Partition(...)` validates the parts and, in the same pass
+over them, builds the block form and the weight; it holds all three from
+construction on.  `make_partition`, `parse_partition` and
+`enumerate_partitions` go through it, so input is checked at the edge.  A
+move's result (`transfers.apply_transfer`) comes from `_edited`: the move
+edits two rows of a validated partition and checks those two rows, so the
+parts are not validated again.  It holds the parts and the weight, and
+builds its block form on the first read.
 
 `conjugate` works on the block form and returns one: a partition with t
 blocks has a conjugate with t blocks, built in O(t) Python steps without a
@@ -35,12 +39,14 @@ class Partition:
     `weight`, the integer being partitioned, all three as plain instance
     attributes.  Equality and the hash are those of `(parts,)`.
 
-    `__init__` is the only way in: it stores the parts and calls
+    `__init__` is the way in for input: it stores the parts and calls
     `__post_init__`, which validates them and stores the block form and the
     weight.  The validating step has that name, and `__init__` looks it up
     on the instance, because callers wrap it under that name: the
     `partitions.Partition` probe in `bench/tracer.py` and the tests count
-    validated constructions through it.
+    validated constructions through it.  The other way in, `_edited`, is
+    for a move's result, and stores the parts and the weight only;
+    `__getattr__` builds `blocks` on the first read and stores it.
     """
 
     parts: tuple[int, ...]
@@ -73,6 +79,24 @@ class Partition:
         self.__dict__["blocks"] = tuple(blocks)
         self.__dict__["weight"] = weight + size * mult
 
+    def __getattr__(self, name: str) -> tuple[tuple[int, int], ...]:
+        # Called only for a name missing from the instance dict: a move's
+        # result (`_edited`) has no `blocks` until the first read stores them
+        # there, with no lock, as `SimpleGraph._adjacency` is stored.
+        if name != "blocks":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        parts = self.parts
+        blocks: list[tuple[int, int]] = []
+        size, mult = parts[0], 0
+        for part in parts:
+            if part != size:
+                blocks.append((size, mult))
+                size, mult = part, 0
+            mult += 1
+        blocks.append((size, mult))
+        self.__dict__["blocks"] = result = tuple(blocks)
+        return result
+
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -101,6 +125,19 @@ class Partition:
     def to_json(self) -> list[int]:
         """The JSON form of a partition: its parts, largest first."""
         return list(self.parts)
+
+
+def _edited(parts: tuple[int, ...], weight: int) -> Partition:
+    """A partition from parts the caller has checked, with their weight.
+
+    Only `transfers.apply_transfer` calls it, on a validated partition with
+    two rows edited and both edits checked; `blocks` is built on first read.
+    """
+    p = object.__new__(Partition)
+    fields = p.__dict__
+    fields["parts"] = parts
+    fields["weight"] = weight
+    return p
 
 
 def make_partition(parts: Iterable[int]) -> Partition:

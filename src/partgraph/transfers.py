@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .partitions import Partition, conjugate
+from .partitions import Partition, _edited, conjugate
 
 
 class TransferMove(NamedTuple):
@@ -85,26 +85,38 @@ def apply_transfer(p: Partition, move: TransferMove) -> Partition:
 
     With M_i = m_1 + ... + m_i, row M_i - 1 (last of block i) loses a cell,
     dropped at zero, and row M_(j-1) (first of block j) gains one, or j == t+1
-    appends a 1.  As gaps are >= 1, rows stay weakly decreasing except on the
-    two obstructions; `Partition` still validates.
+    appends a 1.  The result is not validated again: p was, a moved cell
+    keeps every part a positive int once a zero row is dropped, and only the
+    two pairs of rows that meet an edited row can fall out of order.  Those
+    pairs are compared, and a rise raises the `ValueError` that `Partition`
+    raises.  As gaps are >= 1, a rise comes only from the two obstructions,
+    which `_require_admissible` rejects first.  The result builds its block
+    form when first read.
     """
     _require_admissible(p, move)
-    parts = list(p.parts)
-    first = last = 0
-    for k, (_, mult) in enumerate(p.blocks, 1):
-        if k < move.j:
-            first += mult
-        if k <= move.i:
-            last += mult
-    last -= 1
+    i, j = move
+    blocks, parts = p.blocks, list(p.parts)
+    # Sizes are distinct per block, so a block's first row is the first row
+    # holding its size.
+    size, mult = blocks[i - 1]
+    last = parts.index(size) + mult - 1
+    first = parts.index(blocks[j - 1][0]) if j <= len(blocks) else len(parts)
     parts[last] -= 1
     if first < len(parts):
         parts[first] += 1
     else:
         parts.append(1)
     if not parts[last]:
+        # The rows after the dropped one move up, and its two neighbors meet.
         del parts[last]
-    return Partition(tuple(parts))
+        first -= first > last
+        last -= 1
+    # There is no row -1, and a row past the end counts as 0.
+    if (first and parts[first - 1] < parts[first]) or (
+        0 <= last < len(parts) - 1 and parts[last] < parts[last + 1]
+    ):
+        raise ValueError(f"parts must be weakly decreasing, got {tuple(parts)}")
+    return _edited(tuple(parts), p.weight)
 
 
 def neighbors(p: Partition) -> dict[TransferMove, Partition]:

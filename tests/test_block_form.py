@@ -14,7 +14,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from partgraph import Partition, are_adjacent, conjugate, make_partition, parse_partition
+from partgraph import (
+    InadmissibleTransferError,
+    Partition,
+    TransferMove,
+    apply_transfer,
+    are_adjacent,
+    conjugate,
+    enumerate_partitions,
+    make_partition,
+    neighbors,
+    parse_partition,
+    transfers,
+)
 from partgraph.cli import main
 
 from oracles import (
@@ -119,6 +131,40 @@ class TestTrustBoundary:
         validations.clear()
         assert are_adjacent(p, q)
         assert validations == []
+
+    def test_moves_skip_validation(self, validations):
+        for p in (make_partition([453, 453, 303, 153, 152, 2]), make_partition([2, 1])):
+            validations.clear()
+            assert [q.parts for q in neighbors(p).values()] == [
+                raw_transfer_parts(p.parts, *move) for move in neighbors(p)
+            ]
+            assert validations == []
+
+    def test_edit_check_rejects_what_validation_rejected(self, monkeypatch):
+        monkeypatch.setattr(transfers, "_obstruction", lambda p, move: None)
+        with pytest.raises(ValueError, match=r"weakly decreasing, got \(1, 2\)") as excinfo:
+            apply_transfer(make_partition([2, 1]), TransferMove(1, 2))
+        assert not isinstance(excinfo.value, InadmissibleTransferError)
+
+    def test_edit_check_without_obstructions(self, monkeypatch):
+        # With no obstruction check, each obstructed move either raises the
+        # edit check's error or, off a singleton block or from a last block of
+        # ones, gives p back: never a partition out of order.
+        monkeypatch.setattr(transfers, "_obstruction", lambda p, move: None)
+        for n in range(1, 11):
+            for p in enumerate_partitions(n):
+                t = p.support_size
+                for i in range(1, t + 1):
+                    for j in range(1, t + 2):
+                        admissible = definition_admissible(p.parts, i, j)
+                        try:
+                            q = apply_transfer(p, TransferMove(i, j))
+                        except ValueError as err:
+                            assert not admissible
+                            assert "weakly decreasing" in str(err)
+                        else:
+                            assert admissible or q == p
+                            assert q == Partition(q.parts)
 
     def test_edge_still_validates(self, validations):
         with pytest.raises(ValueError):

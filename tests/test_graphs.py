@@ -232,6 +232,19 @@ class TestLineGraph:
         with pytest.raises(ValueError):
             line_graph([move("1->1"), move("1->2")])
 
+    @pytest.mark.parametrize("moves", [
+        ((1, 1), (1, 2)),
+        (TransferMove(1, 1), (1, 2)),
+        (TransferMove(True, 2), TransferMove(1, 3)),
+        (TransferMove(1.0, 2), TransferMove(1, 3)),
+        (TransferMove(1, 2), TransferMove(2, 0)),
+        (TransferMove(-1, 2),),
+    ])
+    def test_rejects_anything_but_moves_with_positive_int_corners(self, moves):
+        # True would share corner 1 with 1 and put an edge between 1->3 and True->2.
+        with pytest.raises(ValueError, match="positive integer corners"):
+            line_graph(moves)
+
     def test_neighborhood_equals_line_graph_on_labels(self):
         for n in range(1, 9):
             for p in enumerate_partitions(n):

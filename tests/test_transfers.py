@@ -190,6 +190,66 @@ class TestWideGaps:
                 assert excinfo.value.reason == reason
 
 
+def assert_matches_validated(q):
+    """q, a move's result, against the validated construction of its parts.
+
+    q's block form has not been read yet, so it is built on the read here."""
+    assert "blocks" not in vars(q)
+    r = Partition(q.parts)
+    assert q == r and r == q
+    assert hash(q) == hash(r)
+    assert q.weight == r.weight
+    assert (str(q), repr(q)) == (str(r), repr(r))
+    assert q.blocks == r.blocks
+    assert q.support_size == r.support_size
+    assert conjugate(q) == conjugate(r)
+
+
+class TestEditedResult:
+    """A move's result is built from its two-row edit, not validated again."""
+
+    def test_every_move_to_weight_18(self):
+        for n in range(1, 19):
+            for p in enumerate_partitions(n):
+                for move in neighbors(p):
+                    assert_matches_validated(apply_transfer(p, move))
+
+    @settings(deadline=None)
+    @given(st.one_of(block_patterns(), block_patterns().map(last_size_one)))
+    def test_every_move_on_wide_gaps(self, pattern):
+        p = from_pattern(*pattern)
+        for move in neighbors(p):
+            assert_matches_validated(apply_transfer(p, move))
+
+    def test_copies_before_blocks_are_read(self):
+        p = make_partition([4, 4, 2, 2])
+        for move in neighbors(p):
+            q = apply_transfer(p, move)
+            copies = [copy.copy(q), copy.deepcopy(q)] + [
+                pickle.loads(pickle.dumps(q, protocol))
+                for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+            ]
+            assert "blocks" not in vars(q)
+            for other in copies:
+                assert type(other) is Partition
+                assert other == q
+                assert other.weight == q.weight
+                assert other.blocks == q.blocks == Partition(q.parts).blocks
+
+    def test_other_missing_names_raise(self):
+        q = apply_transfer(make_partition([4, 4, 2, 2]), TransferMove(1, 1))
+        with pytest.raises(AttributeError, match="nope"):
+            getattr(q, "nope")
+        assert not hasattr(q, "nope")
+        assert "blocks" not in vars(q)
+
+    def test_blocks_are_stored_on_first_read(self):
+        q = apply_transfer(make_partition([4, 4, 2, 2]), TransferMove(2, 3))
+        assert q.blocks is q.blocks == ((4, 2), (2, 1), (1, 2))
+        with pytest.raises(AttributeError):
+            q.blocks = ()
+
+
 class TestNeighbors:
     def test_exact_map_for_small_case(self):
         assert {m: q.parts for m, q in neighbors(make_partition([2, 1])).items()} == {
