@@ -2,20 +2,19 @@
 
 A partition is stored as a weakly decreasing tuple of positive parts.  Most
 local computations work on the block form: the run-length encoding of the
-parts into (size, multiplicity) pairs with strictly decreasing sizes.  There
-are two ways in.  `Partition(...)` validates the parts and, in the same pass
-over them, builds the block form and the weight; it holds all three from
-construction on.  `make_partition`, `parse_partition` and
-`enumerate_partitions` go through it, so input is checked at the edge.  A
-move's result (`transfers.apply_transfer`) comes from `_edited`: the move
-edits two rows of a validated partition and checks those two rows, so the
-parts are not validated again.  It holds the parts and the weight, and
-builds its block form on the first read.
+parts into (size, multiplicity) pairs with strictly decreasing sizes.
+Every partition holds `parts` and `weight` from construction on, and writes
+its block form and its conjugate once each, on first use.  There are two
+ways in.  `Partition(...)` validates the parts;
+`make_partition`, `parse_partition` and `enumerate_partitions` go through it,
+so input is checked at the edge.  A move's result (`transfers.apply_transfer`)
+comes from `_edited`: the move edits two rows of a validated partition and
+checks those two rows, so the parts are not validated again.
 
 `conjugate` works on the block form and returns one: a partition with t
 blocks has a conjugate with t blocks, built in O(t) Python steps without a
 per-cell loop, so a conjugate whose columns number in the millions costs
-O(t).  Each partition keeps its conjugate once computed.
+O(t).
 
 `Partition` is a plain class with written-out `__eq__`, `__hash__` and
 `__repr__`, and a `__setattr__` and `__delattr__` that refuse every change, so
@@ -35,18 +34,19 @@ class Partition:
     Construct directly only with a tuple of already-normalized parts; use
     :func:`make_partition` to sort arbitrary input.  Instances are immutable
     and hashable, so they can serve as graph vertices and dict keys.
-    Besides `parts`, each instance holds `blocks`, the block form, and
-    `weight`, the integer being partitioned, all three as plain instance
-    attributes.  Equality and the hash are those of `(parts,)`.
+    Equality and the hash are those of `parts`.
+
+    Every instance holds `parts` and `weight`, the integer being partitioned,
+    as plain instance attributes from construction on.  `blocks`, the block
+    form, is built by `__getattr__` on the first read and stored beside them.
 
     `__init__` is the way in for input: it stores the parts and calls
-    `__post_init__`, which validates them and stores the block form and the
-    weight.  The validating step has that name, and `__init__` looks it up
-    on the instance, because callers wrap it under that name: the
+    `__post_init__`, which validates them and stores the weight.  The
+    validating step has that name, and `__init__` looks it up on the
+    instance, because callers wrap it under that name: the
     `partitions.Partition` probe in `bench/tracer.py` and the tests count
-    validated constructions through it.  The other way in, `_edited`, is
-    for a move's result, and stores the parts and the weight only;
-    `__getattr__` builds `blocks` on the first read and stores it.
+    validated constructions through it.  The other way in, `_edited`, is for
+    a move's result and skips the validation.
     """
 
     parts: tuple[int, ...]
@@ -61,28 +61,20 @@ class Partition:
             raise ValueError(f"parts must be a tuple, got {type(parts).__name__}")
         if not parts:
             raise ValueError("a partition needs at least one part")
-        blocks: list[tuple[int, int]] = []
-        size, mult, weight, rising = parts[0], 0, 0, False
+        previous, rising = parts[0], False
         for part in parts:
             if type(part) is not int or part <= 0:
                 raise ValueError(f"every part must be a positive integer, got {part!r}")
-            if part != size:
-                rising = rising or part > size
-                blocks.append((size, mult))
-                weight += size * mult
-                size, mult = part, 0
-            mult += 1
+            previous, rising = part, rising or part > previous
         # Raised only once every part has passed, so a bad part is reported first.
         if rising:
             raise ValueError(f"parts must be weakly decreasing, got {parts}")
-        blocks.append((size, mult))
-        self.__dict__["blocks"] = tuple(blocks)
-        self.__dict__["weight"] = weight + size * mult
+        self.__dict__["weight"] = sum(parts)
 
     def __getattr__(self, name: str) -> tuple[tuple[int, int], ...]:
-        # Called only for a name missing from the instance dict: a move's
-        # result (`_edited`) has no `blocks` until the first read stores them
-        # there, with no lock, as `SimpleGraph._adjacency` is stored.
+        # Called only for a name missing from the instance dict, so the first
+        # read of `blocks` builds them and stores them there, with no lock, as
+        # `SimpleGraph._adjacency` is stored.
         if name != "blocks":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         parts = self.parts
@@ -103,7 +95,7 @@ class Partition:
         return self.parts == other.parts
 
     def __hash__(self) -> int:
-        return hash((self.parts,))
+        return hash(self.parts)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(parts={self.parts!r})"
@@ -131,7 +123,9 @@ def _edited(parts: tuple[int, ...], weight: int) -> Partition:
     """A partition from parts the caller has checked, with their weight.
 
     Only `transfers.apply_transfer` calls it, on a validated partition with
-    two rows edited and both edits checked; `blocks` is built on first read.
+    two rows edited and both edits checked.  The result holds what
+    `Partition(...)` stores, the parts and the weight, and like every
+    partition builds its block form on first read.
     """
     p = object.__new__(Partition)
     fields = p.__dict__

@@ -90,8 +90,8 @@ def apply_transfer(p: Partition, move: TransferMove) -> Partition:
     two pairs of rows that meet an edited row can fall out of order.  Those
     pairs are compared, and a rise raises the `ValueError` that `Partition`
     raises.  As gaps are >= 1, a rise comes only from the two obstructions,
-    which `_require_admissible` rejects first.  The result builds its block
-    form when first read.
+    which `_require_admissible` rejects first.  Like every partition, the
+    result builds its block form on first read.
     """
     _require_admissible(p, move)
     i, j = move

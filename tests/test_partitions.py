@@ -1,5 +1,8 @@
+import copy
+import pickle
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from partgraph import (
@@ -18,7 +21,7 @@ from oracles import (
     parts_from_blocks,
     run_length_blocks,
 )
-from test_block_form import block_patterns, from_pattern
+from test_block_form import block_patterns, from_pattern, validations
 
 partitions = st.lists(st.integers(1, 9), min_size=1, max_size=8).map(make_partition)
 
@@ -77,12 +80,40 @@ class TestConstruction:
 
 
 class TestBlockEncoding:
+    """A validated partition holds its parts and weight; blocks come on first read."""
+
     @given(long_runs)
     def test_matches_run_length_oracle(self, parts):
         p = Partition(parts)
-        assert {"blocks", "weight"} <= vars(p).keys()
-        assert p.blocks == run_length_blocks(parts)
+        assert vars(p).keys() == {"parts", "weight"}
         assert p.weight == sum(parts)
+        assert p.blocks == run_length_blocks(parts)
+        assert p.blocks is vars(p)["blocks"]
+        assert vars(p).keys() == {"parts", "weight", "blocks"}
+
+    @given(long_runs)
+    def test_copies_before_blocks_are_read(self, parts):
+        p = Partition(parts)
+        copies = [copy.copy(p), copy.deepcopy(p)] + [
+            pickle.loads(pickle.dumps(p, protocol))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+        ]
+        assert "blocks" not in vars(p)
+        for other in copies:
+            assert type(other) is Partition
+            assert other == p and p == other
+            assert hash(other) == hash(p)
+            assert other.blocks == p.blocks == run_length_blocks(parts)
+
+    # The fixture's patch holds for every example, so each example clears it.
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(parts=long_runs)
+    def test_validates_once_and_not_on_first_read(self, validations, parts):
+        validations.clear()
+        p = Partition(parts)
+        assert validations == [parts]
+        assert p.blocks == run_length_blocks(parts)
+        assert validations == [parts]
 
 
 class TestParse:

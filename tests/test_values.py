@@ -141,9 +141,9 @@ class TestFrozenValue:
 
 class TestPartitionHash:
     @pytest.mark.parametrize("parts", [(1,), (2, 1), (4, 4, 2, 2), (10000000, 10000000, 3)])
-    def test_hash_is_that_of_the_parts_in_a_one_tuple(self, parts):
+    def test_hash_is_that_of_the_parts(self, parts):
         p = Partition(parts)
-        assert hash(p) == hash((p.parts,))
+        assert hash(p) == hash(p.parts)
 
     def test_unequal_to_other_types(self):
         p = Partition((2, 1))
