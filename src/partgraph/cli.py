@@ -24,6 +24,12 @@ of ints of one width (the edges of a graph) are filled into one shared
 library's `_json` extension module, so importing the CLI does not load the
 `json` package.
 
+`_write` takes only what the payloads hold, matched by exact type: dicts
+with str keys, lists, str, int, bool, None and float.  The only floats are
+the verify report's timings, which are always finite, so a float is written
+as its repr.  Any other type, tuples and subclasses included, raises
+TypeError.
+
 `main` parses with one parser per process.  It is built by the first `main`
 call, not at import, and only read afterwards: `parse_args` keeps no state
 between calls, so in-process callers (tests, benchmarks, library users, any
@@ -83,48 +89,31 @@ def _positive_int(text: str) -> int:
     return value
 
 
-_INFINITY = float("inf")
-
-
-def _float(value: float) -> str:
-    """A float as the `json` module writes it: its repr, or NaN, Infinity, -Infinity."""
-    if value != value:
-        return "NaN"
-    if value == _INFINITY:
-        return "Infinity"
-    if value == -_INFINITY:
-        return "-Infinity"
-    return float.__repr__(value)
-
-
 # The JSON text of a scalar, by its exact type.
 _SCALAR = {
     str: encode_basestring_ascii,
     int: int.__repr__,
     bool: {False: "false", True: "true"}.__getitem__,
     type(None): {None: "null"}.__getitem__,
-    float: _float,
+    float: float.__repr__,
 }
-# What a subclass is written as, in the order the `json` module tests them.
-_BASES = (str, int, float, list, tuple, dict)
 
 
 def _write(value: object, indent: str) -> str:
     """`value` as `json`'s `dumps(value, indent=2)` writes it, when its first
     line starts at `indent` (a newline and two spaces per level).
 
-    Subclasses of str, int, float, list, tuple and dict are written as their
-    base type, as the `json` module does; any other type, or a dict key
-    that is not a str, raises TypeError.
+    The grammar is that of the CLI's payloads, by exact type: dicts with str
+    keys, lists, str, int, bool, None and float.  Floats are timings and
+    always finite, so a float is its repr.  Any other type, such as a tuple
+    or a subclass of one of these, raises TypeError, as does a dict key
+    that is not a str.
     """
     kind = type(value)
-    if kind is not dict and kind is not list and kind is not tuple:
-        if kind not in _SCALAR:
-            kind = next((base for base in _BASES if isinstance(value, base)), None)
-            if kind is None:
-                raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-        if kind in _SCALAR:
-            return _SCALAR[kind](value)
+    if encode := _SCALAR.get(kind):
+        return encode(value)
+    if kind is not dict and kind is not list:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
     if not value:
         return "{}" if kind is dict else "[]"
     inner = indent + "  "
@@ -133,7 +122,7 @@ def _write(value: object, indent: str) -> str:
                   f"{encode(item) if (encode := _SCALAR.get(type(item))) else _write(item, inner)}"
                   for key, item in value.items()]
         return "{" + inner + ("," + inner).join(fields) + indent + "}"
-    if (kind is list and type(value[0]) is list and {*map(type, value)} == {list}
+    if (type(value[0]) is list and {*map(type, value)} == {list}
             and {*map(len, value)} == {len(value[0])}
             and {*map(type, chain.from_iterable(value))} == {int}):
         # Rows of ints of one width, such as the edges of a graph: one template.

@@ -40,10 +40,11 @@ the move's target.
 theorem many partitions show the same observed neighborhood (507 of weight
 <= 14 show 80), so what is a pure function of that graph (the corner
 comparison, the clique search, the classification of the cliques and, per
-local type, the type_determinacy comparison) is derived once per distinct
-graph, keyed by its move labels and the adjacency read off G_n, never by
-the type.  Each partition still gets its own moves, targets, lookups in
-G_n, `are_adjacent` per move, degree check and failure records.
+local type, the type_determinacy comparison with the type's model) is
+derived once per distinct graph, keyed by its move labels and the
+adjacency read off G_n, plus the type for type_determinacy.  Each partition
+still gets its own moves, targets, lookups in G_n, `are_adjacent` per
+move, degree check and failure records.
 
 In the report, each check's time includes the part of the observation named
 after it: the build of G_n and of its index for degrees,
@@ -345,21 +346,19 @@ def _type_prediction(T: LocalType) -> dict:
     }
 
 
-def verify_type_determinacy(o: Observation, T: LocalType, predictions: dict,
+def verify_type_determinacy(o: Observation, T: LocalType,
                             memo: dict | None = None) -> list[dict]:
     """A partition must expose the local data its local type T alone predicts.
 
     Checking every partition, of any weight, against its type's model means,
     by transitivity, that all partitions of a type agree with each other,
-    across weights.  `predictions` keeps the model of each type seen;
-    `run_all` passes one dict to every call.  With a memo, each distinct
-    neighborhood is compared once per type.
+    across weights.  With a memo, each distinct neighborhood is compared,
+    and its type's model built, once per type; without one, both are done
+    for every call.
     """
     def disagreements() -> tuple[str, ...]:
         signature = _local_signature(o.neighborhood, o.cliques)
-        if T not in predictions:
-            predictions[T] = _type_prediction(T)
-        predicted = predictions[T]
+        predicted = _type_prediction(T)
         return tuple(
             f"{key} disagrees with the type model: {signature[key]!r} vs {predicted[key]!r}"
             for key in signature
@@ -391,13 +390,12 @@ def run_all(n_max: int, degrees_only: bool = False) -> VerificationReport:
         checks = [lambda p, T: verify_degrees(p, T, neighbors(p).values())]
         seen = ((p, local_type(p), {}) for n in weights for p in enumerate_partitions(n))
     else:
-        predictions: dict[LocalType, dict] = {}
         memo: dict = {}
         checks = [
             lambda o, T: verify_degrees(o.partition, T, o.neighborhood.targets, o.graph_degree),
             lambda o, T: verify_neighborhoods(o),
             lambda o, T: verify_cliques(o, T, memo),
-            lambda o, T: verify_type_determinacy(o, T, predictions, memo),
+            lambda o, T: verify_type_determinacy(o, T, memo),
         ]
         seen = ((o, local_type(o.partition), o.ms) for n in weights for o in observe(n, memo))
     failures: dict[str, list[dict]] = {name: [] for name in CHECKS[:len(checks)]}

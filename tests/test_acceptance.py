@@ -105,12 +105,11 @@ def test_criterion_4_clique_structure_to_weight_twelve():
 
 
 def test_criterion_5_type_determinacy_to_weight_twelve():
-    predictions = {}
     problems = []
     for n in range(1, 13):
         problems.extend(
             f for o in observe(n)
-            for f in verify_type_determinacy(o, local_type(o.partition), predictions)
+            for f in verify_type_determinacy(o, local_type(o.partition))
         )
     report(5, "equal local types give equal local data up to weight 12", problems)
 

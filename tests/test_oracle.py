@@ -51,9 +51,8 @@ def enumerated_degrees(n):
 
 
 def type_failures(observed):
-    predictions = {}
     return [f for o in observed
-            for f in verify_type_determinacy(o, local_type(o.partition), predictions)]
+            for f in verify_type_determinacy(o, local_type(o.partition))]
 
 
 class TestSingleWeightVerifiers:
@@ -317,7 +316,6 @@ def unmemoised_failures(n_max):
     """Each check's failures to weight n_max, from the four checks in run_all's
     order but called without a memo, so every observation is derived afresh."""
     oracle = partgraph.oracle
-    predictions = {}
     failures = {name: [] for name in oracle.CHECKS}
     for o in observe_up_to(n_max):
         T = oracle.local_type(o.partition)
@@ -325,7 +323,7 @@ def unmemoised_failures(n_max):
                                               o.graph_degree)
         failures["neighborhoods"] += verify_neighborhoods(o)
         failures["cliques"] += verify_cliques(o, T)
-        failures["type_determinacy"] += verify_type_determinacy(o, T, predictions)
+        failures["type_determinacy"] += verify_type_determinacy(o, T)
     return failures
 
 
