@@ -20,37 +20,41 @@ from .transfers import TransferMove, are_adjacent, neighbors
 class SimpleGraph:
     """An undirected simple graph over an ordered tuple of opaque labels.
 
-    Edges are stored as index pairs (a, b) of ints with a < b into the label
-    tuple.  Immutable, and equal and hashed as `(labels, edges)`; a plain
-    class, not a named tuple, because it keeps its adjacency in its instance
-    dict once built (`_adjacency`, one int bitset per vertex).
+    Built from index pairs (a, b) of ints with a < b into the label tuple,
+    given as any iterable, it keeps only `adjacency`: one int bitset per
+    vertex, bit b of vertex a set when a and b are joined.  Immutable, equal
+    and hashed as `(labels, adjacency)`, and it writes nothing after
+    construction.
     """
 
     labels: tuple[Any, ...]
-    edges: frozenset[tuple[int, int]]
+    adjacency: tuple[int, ...]
 
-    def __init__(self, labels: tuple[Any, ...], edges: frozenset[tuple[int, int]]) -> None:
-        # A list or a set would make the graph unhashable and unequal to its twin.
-        if type(labels) is not tuple or type(edges) is not frozenset:
-            raise ValueError("labels must be a tuple and edges a frozenset")
+    def __init__(self, labels: tuple[Any, ...], edges: Iterable[tuple[int, int]]) -> None:
+        # A list of labels would make the graph unhashable and unequal to its twin.
+        if type(labels) is not tuple:
+            raise ValueError("labels must be a tuple")
         count = len(labels)
+        masks = [0] * count
         for a, b in edges:
             # bool and float compare equal to ints, but JSON writes them
             # otherwise, and a float can neither index a vertex nor shift a bit.
             if type(a) is not int or type(b) is not int or not (0 <= a < b < count):
                 raise ValueError(f"edge ({a}, {b}) invalid for {count} vertices")
-        self.__dict__.update(labels=labels, edges=edges)
+            masks[a] |= 1 << b
+            masks[b] |= 1 << a
+        self.__dict__.update(labels=labels, adjacency=tuple(masks))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.labels, self.edges) == (other.labels, other.edges)
+        return (self.labels, self.adjacency) == (other.labels, other.adjacency)
 
     def __hash__(self) -> int:
-        return hash((self.labels, self.edges))
+        return hash((self.labels, self.adjacency))
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}(labels={self.labels!r}, edges={self.edges!r})"
+        return f"{type(self).__name__}(labels={self.labels!r}, edges={self.sorted_edges()!r})"
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -64,38 +68,27 @@ class SimpleGraph:
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return sum(mask.bit_count() for mask in self.adjacency) // 2
 
     def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
-
-    def __getattr__(self, name: str) -> Any:
-        # Called only for a name missing from the instance dict: `_adjacency`,
-        # an int bitset of each vertex's neighbors, is stored there on first
-        # use, with no lock, as `Partition.blocks` is.
-        if name != "_adjacency":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        masks = [0] * len(self.labels)
-        for a, b in self.edges:
-            masks[a] |= 1 << b
-            masks[b] |= 1 << a
-        self.__dict__["_adjacency"] = adjacency = tuple(masks)
-        return adjacency
+        return list(_upper_pairs(self.adjacency))
 
     def degree(self, v: int) -> int:
-        return self._adjacency[v].bit_count()
+        return self.adjacency[v].bit_count()
 
     def to_json(self) -> dict:
         return {
             "labels": [label_json(label) for label in self.labels],
-            "edges": [list(edge) for edge in self.sorted_edges()],
+            "edges": [[a, b] for a, b in _upper_pairs(self.adjacency)],
         }
 
     def to_dot(self) -> str:
         lines = ["graph G {"]
         for idx, label in enumerate(self.labels):
-            lines.append(f'  {idx} [label="{label}"];')
-        for a, b in self.sorted_edges():
+            # Inside a quoted DOT string, a backslash and a quote are escaped.
+            text = str(label).replace("\\", "\\\\").replace('"', '\\"')
+            lines.append(f'  {idx} [label="{text}"];')
+        for a, b in _upper_pairs(self.adjacency):
             lines.append(f"  {a} -- {b};")
         lines.append("}")
         return "\n".join(lines) + "\n"
@@ -114,10 +107,10 @@ def label_json(label: Any) -> Any:
 Relation = tuple[Callable[[Partition], Any], Callable[[Any, Any], bool]]
 
 
-def _relation_edges(items: Sequence, related: Callable[[Any, Any], bool]) -> frozenset[tuple[int, int]]:
-    """The index pairs (a, b), a < b, of every related pair of the items."""
+def _relation_edges(items: Sequence, related: Callable[[Any, Any], bool]) -> Iterator[tuple[int, int]]:
+    """The index pairs (a, b), a < b, of every related pair of the items, each yielded once tested."""
     pairs = combinations(enumerate(items), 2)
-    return frozenset((a, b) for (a, x), (b, y) in pairs if related(x, y))
+    return ((a, b) for (a, x), (b, y) in pairs if related(x, y))
 
 
 def _share_corner(first: TransferMove, second: TransferMove) -> bool:
@@ -136,24 +129,27 @@ def build_partition_graph(n: int) -> SimpleGraph:
     back or rows out of order, which the index does not hold.  The index
     keys are the conjugates' rows, expanded from the block forms `conjugate`
     returns, and the run ends are read off those block forms.  Each vertex
-    costs one lookup per pair of runs.
+    costs one lookup per pair of runs, and each edge goes straight into the
+    graph's bitsets, never into a list.
     """
     labels = enumerate_partitions(n)
     index = {tuple(chain.from_iterable((size,) * width for size, width in conjugate(p))): a
              for a, p in enumerate(labels)}
-    edges = []
-    for rows, a in index.items():
-        padded = [*rows, 0]
-        ends = list(accumulate(width for _, width in conjugate(labels[a])))
-        for end in ends:
-            for first in (0, *ends):
-                moved = padded.copy()
-                moved[end - 1] -= 1
-                moved[first] += 1
-                b = index.get(tuple(filter(None, moved)))
-                if b is not None and b > a:
-                    edges.append((a, b))
-    return SimpleGraph(tuple(labels), frozenset(edges))
+
+    def edges() -> Iterator[tuple[int, int]]:
+        for rows, a in index.items():
+            padded = [*rows, 0]
+            ends = list(accumulate(width for _, width in conjugate(labels[a])))
+            for end in ends:
+                for first in (0, *ends):
+                    moved = padded.copy()
+                    moved[end - 1] -= 1
+                    moved[first] += 1
+                    b = index.get(tuple(filter(None, moved)))
+                    if b is not None and b > a:
+                        yield a, b
+
+    return SimpleGraph(tuple(labels), edges())
 
 
 def induced_neighborhood(
@@ -244,11 +240,13 @@ class NeighborhoodCheck(NamedTuple):
 def corner_violations(observed: SimpleGraph) -> tuple[PairCheck, ...]:
     """Every pair of a neighborhood's move labels on which its adjacency
     disagrees with corner sharing, the edges of the moves' line graph."""
-    moves = observed.labels
-    corners = line_graph(moves)
+    moves, seen = observed.labels, observed.adjacency
+    # The rows' XOR marks the pairs the two graphs disagree on, so on each of
+    # them corner sharing is the negation of the observed adjacency.
+    differ = map(int.__xor__, seen, line_graph(moves).adjacency)
     return tuple(
-        PairCheck(moves[a], moves[b], (a, b) in observed.edges, (a, b) in corners.edges)
-        for a, b in sorted(observed.edges ^ corners.edges)
+        PairCheck(moves[a], moves[b], bool(seen[a] >> b & 1), not seen[a] >> b & 1)
+        for a, b in _upper_pairs(differ)
     )
 
 
@@ -284,17 +282,24 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _upper_pairs(rows: Iterable[int]) -> Iterator[tuple[int, int]]:
+    """The pairs (a, b), a < b, with bit b of row a set, in sorted order."""
+    for a, mask in enumerate(rows):
+        for b in _bits(mask >> (a + 1) << (a + 1)):
+            yield a, b
+
+
 def _maximal_cliques(graph: SimpleGraph) -> Iterator[frozenset[int]]:
     """Every maximal nonempty clique of the graph, as a frozenset of vertex indices.
 
     Bron-Kerbosch with a pivot, on int bitsets: bit v of a set stands for
-    vertex v, and the neighbor sets are the graph's `_adjacency`.  The pivot
+    vertex v, and the neighbor sets are the graph's `adjacency`.  The pivot
     is the vertex of the candidates and the excluded with the most neighbors
     among the candidates, the lowest on ties, and the candidates that are not
     its neighbors are expanded lowest first, so the order of the cliques is
     deterministic.
     """
-    masks = graph._adjacency
+    masks = graph.adjacency
 
     def expand(clique: int, candidates: int, excluded: int) -> Iterator[frozenset[int]]:
         if not candidates:

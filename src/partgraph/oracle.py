@@ -173,11 +173,12 @@ def _once(memo: dict | None, derive: Callable[[], Any], tag: str, graph: SimpleG
           *rest: Any) -> Any:
     """derive(), kept in memo per tag, graph and rest; without a memo, run every time.
 
-    The graph's key is its labels and bitset adjacency: its edges in less memory.
+    The graph's key is the two fields a `SimpleGraph` holds, its labels and its
+    bitset adjacency.
     """
     if memo is None:
         return derive()
-    key = (tag, graph.labels, graph._adjacency, *rest)
+    key = (tag, graph.labels, graph.adjacency, *rest)
     value = memo.get(key)
     if value is None:
         value = memo[key] = derive()
@@ -212,7 +213,7 @@ def _graph_relation(graph: SimpleGraph) -> Relation:
     rejected as `are_adjacent` rejects it.
     """
     index = {q.parts: a for a, q in enumerate(graph.labels)}
-    adjacency = graph._adjacency
+    adjacency = graph.adjacency
 
     def vertex(target: Partition) -> int:
         a = index.get(target.parts)

@@ -73,8 +73,8 @@ class Partition:
 
     def __getattr__(self, name: str) -> tuple[tuple[int, int], ...]:
         # Called only for a name missing from the instance dict, so the first
-        # read of `blocks` builds them and stores them there, with no lock, as
-        # `SimpleGraph._adjacency` is stored.
+        # read of `blocks` builds them and stores them there, with no lock:
+        # every thread that races to store them stores an equal value.
         if name != "blocks":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         parts = self.parts

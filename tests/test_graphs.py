@@ -7,6 +7,7 @@ import partgraph.graphs
 from partgraph import (
     CliqueClassificationError,
     PairCheck,
+    Partition,
     SimpleGraph,
     TransferMove,
     admissibility_graph,
@@ -21,6 +22,7 @@ from partgraph import (
     local_type,
     make_partition,
     neighbors,
+    run_all,
     verify_line_graph_theorem,
 )
 from partgraph.graphs import _maximal_cliques, _relation_edges
@@ -34,14 +36,14 @@ def move(text):
 
 
 @st.composite
-def small_graphs(draw):
+def small_edge_sets(draw):
     n = draw(st.integers(0, 8))
     pairs = list(combinations(range(n), 2))
     if pairs:
         edges = draw(st.sets(st.sampled_from(pairs)))
     else:
         edges = set()
-    return SimpleGraph(tuple(range(n)), frozenset(edges))
+    return n, edges
 
 
 @st.composite
@@ -71,18 +73,34 @@ class TestSimpleGraph:
         assert g.vertex_count == 3
         assert g.edge_count == 2
         assert g.degree(1) == 2
-        assert (1, 2) in g.edges
-        assert (0, 2) not in g.edges
+        assert g.adjacency == (0b010, 0b101, 0b010)
+        assert g.sorted_edges() == [(0, 1), (1, 2)]
         assert [g.degree(v) for v in range(3)] == [1, 2, 1]
 
-    @given(small_graphs())
-    def test_adjacency_agrees_with_edge_scan(self, g):
-        for v in range(g.vertex_count):
-            scanned = {b if a == v else a for a, b in g.edges if v in (a, b)}
-            assert {u for u in range(g.vertex_count) if g._adjacency[v] >> u & 1} == scanned
-            assert g._adjacency[v] >> g.vertex_count == 0
+    @given(small_edge_sets())
+    def test_adjacency_agrees_with_edge_scan(self, drawn):
+        # Every accessor against the pairs drawn, not against the graph's own edges.
+        n, edges = drawn
+        g = SimpleGraph(tuple(range(n)), edges)
+        assert len(g.adjacency) == n
+        for v in range(n):
+            scanned = {b if a == v else a for a, b in edges if v in (a, b)}
+            assert {u for u in range(n) if g.adjacency[v] >> u & 1} == scanned
+            assert g.adjacency[v] >> n == 0
             assert g.degree(v) == len(scanned)
-        assert sum(g.degree(v) for v in range(g.vertex_count)) == 2 * g.edge_count
+        assert g.edge_count == len(edges)
+        assert g.sorted_edges() == sorted(edges)
+
+    def test_any_iterable_of_pairs_gives_one_graph(self):
+        pairs = [(1, 2), (0, 2), (0, 1)]
+        first, *others = [
+            SimpleGraph(("a", "b", "c"), edges)
+            for edges in (pairs, set(pairs), frozenset(pairs), (pair for pair in pairs))
+        ]
+        assert first.sorted_edges() == [(0, 1), (0, 2), (1, 2)]
+        for other in others:
+            assert other == first
+            assert hash(other) == hash(first)
 
     # (True, 2) would equal the edge (1, 2) yet be written as [true, 2] in
     # JSON; a float cannot index a vertex.
@@ -92,15 +110,11 @@ class TestSimpleGraph:
         with pytest.raises(ValueError):
             SimpleGraph(("a", "b", "c"), frozenset(edges))
 
-    @pytest.mark.parametrize("labels, edges", [
-        (["a", "b"], frozenset({(0, 1)})),
-        (("a", "b"), {(0, 1)}),
-        (("a", "b"), [(0, 1)]),
-    ])
-    def test_rejects_labels_not_a_tuple_or_edges_not_a_frozenset(self, labels, edges):
-        # Such a graph would be unhashable or unequal to its tuple/frozenset twin.
-        with pytest.raises(ValueError):
-            SimpleGraph(labels, edges)
+    @pytest.mark.parametrize("labels", [["a", "b"], "ab"])
+    def test_rejects_labels_not_a_tuple(self, labels):
+        # Such a graph would be unhashable or unequal to its tuple twin.
+        with pytest.raises(ValueError, match="labels must be a tuple"):
+            SimpleGraph(labels, [(0, 1)])
 
     def test_json_uses_native_label_forms(self):
         g = SimpleGraph(
@@ -118,6 +132,47 @@ class TestSimpleGraph:
         assert '0 [label="4"];' in dot
         assert '4 [label="1,1,1,1"];' in dot
         assert dot.count(" -- ") == 5
+
+    def test_dot_escapes_quotes_and_backslashes_in_labels(self):
+        dot = SimpleGraph(('say "hi"', "a\\b", "x"), [(0, 1)]).to_dot()
+        assert '  0 [label="say \\"hi\\""];' in dot
+        assert '  1 [label="a\\\\b"];' in dot
+        assert '  2 [label="x"];' in dot
+
+
+class TestNothingWrittenAfterConstruction:
+    """A graph holds its labels and its adjacency, and no read writes more."""
+
+    FIELDS = {"labels", "adjacency"}
+
+    def test_after_every_read(self):
+        p = make_partition([4, 4, 2, 2])
+        move_graphs = (induced_neighborhood(neighbors(p)), line_graph(admissibility_graph(local_type(p))))
+        for g in (build_partition_graph(8), *move_graphs):
+            for v in range(g.vertex_count):
+                g.degree(v)
+            g.to_json()
+            g.to_dot()
+            list(_maximal_cliques(g))
+            assert vars(g).keys() == self.FIELDS
+        for g in move_graphs:
+            cliques_through(g)
+            assert vars(g).keys() == self.FIELDS
+
+    def test_after_a_memoised_sweep(self, monkeypatch):
+        built = []
+        init = SimpleGraph.__init__
+
+        def recording_init(self, labels, edges):
+            init(self, labels, edges)
+            built.append(self)
+
+        monkeypatch.setattr(SimpleGraph, "__init__", recording_init)
+        assert run_all(8).passed
+        # G_n, the observed neighborhoods and the corner-sharing graphs.
+        assert {type(g.labels[0]) for g in built if g.labels} == {Partition, TransferMove}
+        for g in built:
+            assert vars(g).keys() == self.FIELDS
 
 
 class TestPartitionGraph:
@@ -147,7 +202,7 @@ class TestPartitionGraph:
             pairs = combinations(enumerate(p.parts for p in g.labels), 2)
             pairwise = {(a, b) for (a, x), (b, y) in pairs if adjacent_by_cells(x, y)}
             assert len(g.labels) == partition_count(n)
-            assert g.edges == pairwise, n
+            assert g.sorted_edges() == sorted(pairwise), n
 
     def test_index_build_matches_pairwise_adjacency_to_fourteen(self):
         # The pairwise build it replaced; equal graphs print the same bytes.
@@ -226,7 +281,7 @@ class TestLineGraph:
         last = len(moves) - 1
         assert forward.labels == moves
         assert backward.labels == moves[::-1]
-        assert backward.edges == frozenset((last - b, last - a) for a, b in forward.edges)
+        assert backward.sorted_edges() == sorted((last - b, last - a) for a, b in forward.sorted_edges())
 
     def test_rejects_a_list(self):
         with pytest.raises(ValueError):
@@ -251,7 +306,7 @@ class TestLineGraph:
                 observed = induced_neighborhood(neighbors(p))
                 predicted = line_graph(admissibility_graph(local_type(p)))
                 assert observed.labels == predicted.labels
-                assert observed.edges == predicted.edges
+                assert observed.adjacency == predicted.adjacency
 
 
 class TestLineGraphTheoremCheck:
@@ -308,7 +363,7 @@ class TestMaximalCliques:
     def test_matches_subset_enumeration(self, g):
         found = list(_maximal_cliques(g))
         assert len(found) == len(set(found))
-        assert set(found) == naive_maximal_cliques(g.vertex_count, g.edges)
+        assert set(found) == naive_maximal_cliques(g.vertex_count, g.sorted_edges())
 
     def test_deterministic_output(self):
         g = build_partition_graph(7)

@@ -227,7 +227,7 @@ class TestFailureDetails:
 
         def without_edge(n):
             graph = build(n)
-            edges = frozenset(e for e in graph.edges if {graph.labels[a] for a in e} != dropped)
+            edges = [e for e in graph.sorted_edges() if {graph.labels[a] for a in e} != dropped]
             return SimpleGraph(graph.labels, edges)
 
         monkeypatch.setattr(partgraph.oracle, "build_partition_graph", without_edge)
@@ -343,7 +343,7 @@ class TestSweepMemo:
 
         def without_edge(n):
             graph = build(n)
-            edges = frozenset(e for e in graph.edges if {graph.labels[a] for a in e} != dropped)
+            edges = [e for e in graph.sorted_edges() if {graph.labels[a] for a in e} != dropped]
             return SimpleGraph(graph.labels, edges)
 
         monkeypatch.setattr(partgraph.oracle, "build_partition_graph", without_edge)

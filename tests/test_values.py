@@ -34,9 +34,9 @@ def neighborhood_check():
 NEIGHBORHOOD_REPR = (
     "NeighborhoodCheck(partition=Partition(parts=(2, 1)), "
     "neighborhood=SimpleGraph(labels=(TransferMove(i=1, j=3), TransferMove(i=2, j=1)), "
-    "edges=frozenset()), targets=(Partition(parts=(1, 1, 1)), Partition(parts=(3,))), "
+    "edges=[]), targets=(Partition(parts=(1, 1, 1)), Partition(parts=(3,))), "
     "corners=SimpleGraph(labels=(TransferMove(i=1, j=3), TransferMove(i=2, j=1)), "
-    "edges=frozenset()), violations=())"
+    "edges=[]), violations=())"
 )
 
 # (class, a function building a fresh value, its repr, whether it hashes)
@@ -45,7 +45,7 @@ FROZEN = [
     (LocalType, lambda: local_type(Partition((2, 1))),
      "LocalType(t=2, alpha=(1, 1), beta=(1, 1))", True),
     (SimpleGraph, lambda: SimpleGraph(("a", "b"), frozenset({(0, 1)})),
-     "SimpleGraph(labels=('a', 'b'), edges=frozenset({(0, 1)}))", True),
+     "SimpleGraph(labels=('a', 'b'), edges=[(0, 1)])", True),
     (PairCheck, lambda: PairCheck(TransferMove(1, 1), TransferMove(1, 2), True, False),
      "PairCheck(first=TransferMove(i=1, j=1), second=TransferMove(i=1, j=2), "
      "adjacent_in_graph=True, share_corner=False)", True),
@@ -71,7 +71,7 @@ FROZEN = [
 FIELDS = {
     Partition: ("parts",),
     LocalType: ("t", "alpha", "beta"),
-    SimpleGraph: ("labels", "edges"),
+    SimpleGraph: ("labels", "adjacency"),
     PairCheck: ("first", "second", "adjacent_in_graph", "share_corner"),
     NeighborhoodCheck: ("partition", "neighborhood", "targets", "corners", "violations"),
     CliqueClassification: ("kind", "removable", "addable", "members"),
