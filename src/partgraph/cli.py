@@ -53,6 +53,7 @@ except ImportError:  # `_json` is private to CPython
     from json.encoder import encode_basestring_ascii
 
 from .graphs import (
+    _upper_pairs,
     build_partition_graph,
     classify_clique,
     cliques_through,
@@ -186,9 +187,11 @@ def cmd_graph(args: argparse.Namespace) -> tuple[str, int]:
         return _json(graph.to_json()), 0
     if args.format == "dot":
         return graph.to_dot(), 0
+    labels = graph.labels
     lines = [f"partitions of {args.n}: {graph.vertex_count} vertices, {graph.edge_count} edges"]
-    for a, b in graph.sorted_edges():
-        lines.append(f"  {graph.labels[a]}  --  {graph.labels[b]}")
+    # The pairs stream off the bitsets, as in `to_json`, never into a list.
+    for a, b in _upper_pairs(graph.adjacency):
+        lines.append(f"  {labels[a]}  --  {labels[b]}")
     return "\n".join(lines) + "\n", 0
 
 

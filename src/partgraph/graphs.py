@@ -102,9 +102,11 @@ def label_json(label: Any) -> Any:
     return label
 
 
-# A relation on partitions, as `induced_neighborhood` takes it: a map from each
-# partition to a vertex, and a test of two vertices.
-Relation = tuple[Callable[[Partition], Any], Callable[[Any, Any], bool]]
+# Adjacency in a graph of partitions, as `verify_line_graph_theorem` takes it:
+# a map from each partition to its vertex, a test of two vertices, and the
+# partition the graph holds at a vertex.
+Relation = tuple[Callable[[Partition], Any], Callable[[Any, Any], bool],
+                 Callable[[Any], Partition]]
 
 
 def _relation_edges(items: Sequence, related: Callable[[Any, Any], bool]) -> Iterator[tuple[int, int]]:
@@ -153,25 +155,20 @@ def build_partition_graph(n: int) -> SimpleGraph:
 
 
 def induced_neighborhood(
-    nbrs: Mapping[TransferMove, Partition],
-    relation: Relation | None = None,
+    nbrs: Mapping[TransferMove, Any],
+    related: Callable[[Any, Any], bool] | None = None,
 ) -> SimpleGraph:
     """The graph the targets of the moves induce, labeled by the moves in sorted order.
 
-    `relation` is a pair (vertex, related): each target is mapped once by
-    `vertex`, and two targets are joined when `related` holds of their
-    vertices.  The full sweep passes adjacency in G_n this way.  Without it,
-    every pair of targets is tested with `are_adjacent`, looked up when
-    called, so targets of different weights are rejected.
+    Two targets are joined when `related` holds of them.  The full sweep
+    passes each target's vertex of G_n and adjacency in G_n this way.
+    Without it, every pair of targets is tested with `are_adjacent`, looked
+    up when called, so targets of different weights are rejected.
     """
     moves = tuple(sorted(nbrs))
-    vertices = [nbrs[move] for move in moves]
-    if relation is None:
+    if related is None:
         related = are_adjacent
-    else:
-        vertex, related = relation
-        vertices = [vertex(target) for target in vertices]
-    return SimpleGraph(moves, _relation_edges(vertices, related))
+    return SimpleGraph(moves, _relation_edges([nbrs[move] for move in moves], related))
 
 
 def _require_moves(moves: tuple) -> None:
@@ -260,18 +257,27 @@ def verify_line_graph_theorem(
 
     The two sides are computed independently: adjacency comes from the
     induced neighborhood of the actual neighbor partitions, under `relation`
-    when given (see `induced_neighborhood`) and the conjugate-coordinate test
-    otherwise; corner sharing looks only at the move labels, through the line
-    graph of the bipartite graph the moves form.  `compare` replaces
+    when given and the conjugate-coordinate test otherwise; corner sharing
+    looks only at the move labels, through the line graph of the bipartite
+    graph the moves form.  Under `relation` each target is mapped once to
+    its vertex, and the check's targets are the partitions the graph holds
+    there, equal to the targets `neighbors` made.  `compare` replaces
     `corner_violations`, so a sweep can compare each distinct neighborhood
     once.  A neighborhood without violations stands in for its line graph.
     """
     nbrs = neighbors(p)
-    observed = induced_neighborhood(nbrs, relation)
+    if relation is None:
+        observed = induced_neighborhood(nbrs)
+        targets = tuple(map(nbrs.get, observed.labels))
+    else:
+        vertex, related, label = relation
+        vertices = {move: vertex(target) for move, target in nbrs.items()}
+        observed = induced_neighborhood(vertices, related)
+        targets = tuple(label(vertices[move]) for move in observed.labels)
     moves = observed.labels
     violations = (corner_violations if compare is None else compare)(observed)
     corners = line_graph(moves) if violations else observed
-    return NeighborhoodCheck(p, observed, tuple(map(nbrs.get, moves)), corners, violations)
+    return NeighborhoodCheck(p, observed, targets, corners, violations)
 
 
 def _bits(mask: int) -> Iterator[int]:

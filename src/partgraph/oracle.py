@@ -5,7 +5,10 @@ per weight, from the conjugate index, and for every partition it generates
 the moves and their targets, looks each target up once among G_n's vertices
 and reads the adjacency of every pair of targets off G_n, lays corner sharing
 of the move labels next to that (`verify_line_graph_theorem`) and searches
-the induced neighborhood for maximal cliques.
+the induced neighborhood for maximal cliques.  The observation's targets are
+G_n's labels, the same object each time a partition is reached, and the
+index build gave each its conjugate, so each conjugate is built once per
+weight.
 
 Each check reads one observation against a prediction of its own and
 returns that partition's failures; it counts nothing and times nothing:
@@ -34,7 +37,7 @@ independent route: G_n is built from the conjugates' rows, without
 the adjacency of the targets in G_n are routes of their own, checked against
 the count of `neighbors` and against corner sharing of the move labels.
 `are_adjacent` is still checked once per move, between the partition and
-the move's target.
+the move's target, which equals by parts the partition `neighbors` made.
 
 `run_all` keeps one memo, which dies with the call.  By the line graph
 theorem many partitions show the same observed neighborhood (507 of weight
@@ -208,21 +211,22 @@ def _graph_relation(graph: SimpleGraph) -> Relation:
     """Adjacency in G_n, as the relation `verify_line_graph_theorem` takes.
 
     Each target is looked up once, by its parts, among the vertices of G_n,
-    and vertices a and b are joined when bit b of a's adjacency bitset is
-    set.  A target that G_n does not hold has another weight, and is
-    rejected as `are_adjacent` rejects it.
+    vertices a and b are joined when bit b of a's adjacency bitset is set,
+    and vertex a holds G_n's label a.  A target that G_n does not hold has
+    another weight, and is rejected as `are_adjacent` rejects it.
     """
-    index = {q.parts: a for a, q in enumerate(graph.labels)}
+    labels = graph.labels
+    index = {q.parts: a for a, q in enumerate(labels)}
     adjacency = graph.adjacency
 
     def vertex(target: Partition) -> int:
         a = index.get(target.parts)
         if a is None:
             raise ValueError(f"partitions of different weights: {target} has {target.weight}, "
-                             f"G_n has {graph.labels[0].weight}")
+                             f"G_n has {labels[0].weight}")
         return a
 
-    return vertex, lambda a, b: adjacency[a] >> b & 1
+    return vertex, lambda a, b: adjacency[a] >> b & 1, labels.__getitem__
 
 
 def observe(n: int, memo: dict | None = None) -> Iterator[Observation]:

@@ -49,14 +49,23 @@ class InadmissibleTransferError(ValueError):
         return type(self), (self.reason, str(self)), vars(self)
 
 
+def _excluded(blocks: tuple[tuple[int, int], ...], i: int) -> dict[int, str]:
+    """The addable corners a move from block i cannot reach, each with its obstruction.
+
+    There are at most two: j == i on a block of multiplicity one, and
+    j == i + 1 across a gap of one.
+    """
+    size, mult = blocks[i - 1]
+    excluded = {}
+    if mult == 1:
+        excluded[i] = "singleton_block"
+    if size - (blocks[i][0] if i < len(blocks) else 0) == 1:
+        excluded[i + 1] = "unit_gap"
+    return excluded
+
+
 def _obstruction(p: Partition, move: TransferMove) -> str | None:
-    blocks = p.blocks
-    size, mult = blocks[move.i - 1]
-    if move.j == move.i and mult == 1:
-        return "singleton_block"
-    if move.j == move.i + 1 and size - (blocks[move.i][0] if move.i < len(blocks) else 0) == 1:
-        return "unit_gap"
-    return None
+    return _excluded(p.blocks, move.i).get(move.j)
 
 
 _OBSTRUCTIONS = {
@@ -123,14 +132,18 @@ def neighbors(p: Partition) -> dict[TransferMove, Partition]:
     """All admissible moves from p, each mapped to the partition it produces.
 
     The mapping is injective, so its size is the degree of p in the transfer
-    graph.  Keys are emitted in sorted move order.
+    graph.  Keys are emitted in sorted move order.  The at most two corners
+    each block excludes are read once per block, so no move is classified
+    here: each admissible move is classified once, by `apply_transfer`.
     """
-    t = p.support_size
+    blocks = p.blocks
+    t = len(blocks)
     out: dict[TransferMove, Partition] = {}
     for i in range(1, t + 1):
+        excluded = _excluded(blocks, i)
         for j in range(1, t + 2):
-            move = TransferMove(i, j)
-            if _obstruction(p, move) is None:
+            if j not in excluded:
+                move = TransferMove(i, j)
                 out[move] = apply_transfer(p, move)
     return out
 
@@ -146,7 +159,9 @@ def are_adjacent(p: Partition, q: Partition) -> bool:
     O(t_p + t_q) steps.  Each run adds its width times the difference of the
     two columns to the distance, and the test fails as soon as that passes 2.
     `conjugate` returns block forms, so no conjugate is ever expanded into
-    parts, and each partition's conjugate is built once and reused.
+    parts, and each partition's conjugate is built once and reused: in the
+    full sweep both sides are G_n's labels, whose conjugates the graph's
+    index build made, so the test builds none.
     """
     if p.weight != q.weight:
         raise ValueError(

@@ -7,6 +7,7 @@ import pytest
 
 import partgraph.graphs
 import partgraph.oracle
+import partgraph.partitions
 import partgraph.transfers
 from partgraph import (
     CheckResult,
@@ -167,8 +168,12 @@ class TestFailureDetails:
         # sweep through it.  Vertex indices of G_n are distinct exactly when
         # their partitions are.
         graph_relation = partgraph.oracle._graph_relation
-        monkeypatch.setattr(partgraph.oracle, "_graph_relation",
-                            lambda graph: (graph_relation(graph)[0], adjacent))
+
+        def faulty(graph):
+            vertex, _, label = graph_relation(graph)
+            return vertex, adjacent, label
+
+        monkeypatch.setattr(partgraph.oracle, "_graph_relation", faulty)
         failures = [f for o in observe(4) for f in verify_neighborhoods(o)]
         assert [(f["partition"], f["detail"]) for f in failures] == flagged
         assert all(f["check"] == "neighborhoods" and f["n"] == 4 for f in failures)
@@ -310,6 +315,42 @@ class TestFailureDetails:
         # enumerated partition, and nothing observed.
         assert calls == {"verify_degrees": 66, "local_type": 66, "neighbors": 66,
                          "apply_transfer": 218}
+
+    def test_run_all_builds_one_conjugate_per_partition(self, monkeypatch):
+        # Each move's target is G_n's label for it, which the index build
+        # gave its conjugate, so are_adjacent builds none: 66 conjugates for
+        # the 66 partitions of weight <= 8, none for a move's target.
+        conjugate = partgraph.partitions.conjugate
+        built = []
+
+        def counted(p):
+            if "_conjugate" not in p.__dict__:
+                built.append(p)
+            return conjugate(p)
+
+        for module in (partgraph.partitions, partgraph.graphs, partgraph.transfers):
+            monkeypatch.setattr(module, "conjugate", counted)
+        assert run_all(8).passed
+        assert len(built) == 66
+        assert len(set(built)) == 66
+
+    def test_targets_are_the_labels_of_the_graph(self, monkeypatch):
+        graphs = []
+        build = partgraph.oracle.build_partition_graph
+
+        def kept(n):
+            graphs.append(build(n))
+            return graphs[-1]
+
+        monkeypatch.setattr(partgraph.oracle, "build_partition_graph", kept)
+        for n in range(1, 9):
+            observed = list(observe(n))
+            labels = set(map(id, graphs[-1].labels))
+            for o in observed:
+                # Equal to the fresh targets, in move order, but G_n's own objects.
+                targets = o.neighborhood.targets
+                assert targets == tuple(neighbors(o.partition).values()), o.partition
+                assert {id(target) for target in targets} <= labels, o.partition
 
 
 def unmemoised_failures(n_max):

@@ -15,6 +15,7 @@ from partgraph import (
     enumerate_partitions,
     make_partition,
     neighbors,
+    transfers,
 )
 from partgraph.graphs import label_json
 
@@ -281,6 +282,25 @@ class TestNeighbors:
         for q in neighbors(p).values():
             assert are_adjacent(p, q)
             assert are_adjacent(q, p)
+
+    def test_classifies_each_move_once(self, monkeypatch):
+        # neighbors reads the excluded corners off each block and leaves the
+        # classification of each admissible move to apply_transfer, so the
+        # moves it keeps are the grid's unobstructed ones, each classified once.
+        obstruction = transfers._obstruction
+        calls = []
+
+        def counted(p, move):
+            calls.append(move)
+            return obstruction(p, move)
+
+        monkeypatch.setattr(transfers, "_obstruction", counted)
+        wide = [make_partition([453, 453, 303, 153, 152, 2]), make_partition([10**8, 10**8, 3])]
+        for p in [*(p for n in range(1, 13) for p in enumerate_partitions(n)), *wide]:
+            admissible = [move for move in move_grid(p) if obstruction(p, move) is None]
+            calls.clear()
+            assert list(neighbors(p)) == admissible, p
+            assert calls == admissible, p
 
 
 class TestConjugateDelta:
