@@ -188,11 +188,13 @@ def cmd_graph(args: argparse.Namespace) -> tuple[str, int]:
     if args.format == "dot":
         return graph.to_dot(), 0
     labels = graph.labels
-    lines = [f"partitions of {args.n}: {graph.vertex_count} vertices, {graph.edge_count} edges"]
+    lines = [f"partitions of {args.n}: {graph.vertex_count} vertices, {graph.edge_count} edges\n"]
     # The pairs stream off the bitsets, as in `to_json`, never into a list.
+    # Each line ends in its newline, so one join makes the text and no second
+    # copy of it is made to end it.
     for a, b in _upper_pairs(graph.adjacency):
-        lines.append(f"  {labels[a]}  --  {labels[b]}")
-    return "\n".join(lines) + "\n", 0
+        lines.append(f"  {labels[a]}  --  {labels[b]}\n")
+    return "".join(lines), 0
 
 
 def cmd_neighborhood(args: argparse.Namespace) -> tuple[str, int]:

@@ -83,15 +83,17 @@ class SimpleGraph:
         }
 
     def to_dot(self) -> str:
-        lines = ["graph G {"]
+        # Each line ends in its newline, so one join makes the text and no
+        # second copy of it is made to end it.
+        lines = ["graph G {\n"]
         for idx, label in enumerate(self.labels):
             # Inside a quoted DOT string, a backslash and a quote are escaped.
             text = str(label).replace("\\", "\\\\").replace('"', '\\"')
-            lines.append(f'  {idx} [label="{text}"];')
+            lines.append(f'  {idx} [label="{text}"];\n')
         for a, b in _upper_pairs(self.adjacency):
-            lines.append(f"  {a} -- {b};")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+            lines.append(f"  {a} -- {b};\n")
+        lines.append("}\n")
+        return "".join(lines)
 
 
 def label_json(label: Any) -> Any:
@@ -104,9 +106,14 @@ def label_json(label: Any) -> Any:
 
 # Adjacency in a graph of partitions, as `verify_line_graph_theorem` takes it:
 # a map from each partition to its vertex, a test of two vertices, and the
-# partition the graph holds at a vertex.
+# partition the graph holds at a vertex.  Without one, each partition is its
+# own vertex, and the test is `induced_neighborhood`'s default.
 Relation = tuple[Callable[[Partition], Any], Callable[[Any, Any], bool],
                  Callable[[Any], Partition]]
+
+
+def _itself(value: Any) -> Any:
+    return value
 
 
 def _relation_edges(items: Sequence, related: Callable[[Any, Any], bool]) -> Iterator[tuple[int, int]]:
@@ -261,19 +268,15 @@ def verify_line_graph_theorem(
     looks only at the move labels, through the line graph of the bipartite
     graph the moves form.  Under `relation` each target is mapped once to
     its vertex, and the check's targets are the partitions the graph holds
-    there, equal to the targets `neighbors` made.  `compare` replaces
-    `corner_violations`, so a sweep can compare each distinct neighborhood
-    once.  A neighborhood without violations stands in for its line graph.
+    there, equal to the targets `neighbors` made; without it each target is
+    its own vertex.  `compare` replaces `corner_violations`, so a sweep can
+    compare each distinct neighborhood once.  A neighborhood without
+    violations stands in for its line graph.
     """
-    nbrs = neighbors(p)
-    if relation is None:
-        observed = induced_neighborhood(nbrs)
-        targets = tuple(map(nbrs.get, observed.labels))
-    else:
-        vertex, related, label = relation
-        vertices = {move: vertex(target) for move, target in nbrs.items()}
-        observed = induced_neighborhood(vertices, related)
-        targets = tuple(label(vertices[move]) for move in observed.labels)
+    vertex, related, label = relation or (_itself, None, _itself)
+    vertices = {move: vertex(target) for move, target in neighbors(p).items()}
+    observed = induced_neighborhood(vertices, related)
+    targets = tuple(label(vertices[move]) for move in observed.labels)
     moves = observed.labels
     violations = (corner_violations if compare is None else compare)(observed)
     corners = line_graph(moves) if violations else observed

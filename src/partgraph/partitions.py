@@ -8,8 +8,9 @@ its block form and its conjugate once each, on first use.  There are two
 ways in.  `Partition(...)` validates the parts;
 `make_partition`, `parse_partition` and `enumerate_partitions` go through it,
 so input is checked at the edge.  A move's result (`transfers.apply_transfer`)
-comes from `_edited`: the move edits two rows of a validated partition and
-checks those two rows, so the parts are not validated again.
+comes from `_edited`: the move edits two rows of a validated partition, and
+the edit itself rejects a move that makes no new partition, so the parts of
+a move it keeps are not validated again.
 
 `conjugate` works on the block form and returns one: a partition with t
 blocks has a conjugate with t blocks, built in O(t) Python steps without a
@@ -61,13 +62,11 @@ class Partition:
             raise ValueError(f"parts must be a tuple, got {type(parts).__name__}")
         if not parts:
             raise ValueError("a partition needs at least one part")
-        previous, rising = parts[0], False
         for part in parts:
             if type(part) is not int or part <= 0:
                 raise ValueError(f"every part must be a positive integer, got {part!r}")
-            previous, rising = part, rising or part > previous
-        # Raised only once every part has passed, so a bad part is reported first.
-        if rising:
+        # Checked only once every part has passed, so a bad part is reported first.
+        if parts != tuple(sorted(parts, reverse=True)):
             raise ValueError(f"parts must be weakly decreasing, got {parts}")
         self.__dict__["weight"] = sum(parts)
 
@@ -123,7 +122,7 @@ def _edited(parts: tuple[int, ...], weight: int) -> Partition:
     """A partition from parts the caller has checked, with their weight.
 
     Only `transfers.apply_transfer` calls it, on a validated partition with
-    two rows edited and both edits checked.  The result holds what
+    two rows edited and the edit checked.  The result holds what
     `Partition(...)` stores, the parts and the weight, and like every
     partition builds its block form on first read.
     """

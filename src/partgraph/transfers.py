@@ -5,7 +5,10 @@ addable corner, so it edits two rows of the parts.  Only two kinds of moves
 make no new partition: j == i on a block of multiplicity one (the cell goes
 back) and j == i + 1 across a gap of one (two sizes swap).  Every other move
 is admissible, and distinct admissible moves from one partition land on
-distinct partitions.
+distinct partitions.  `neighbors` skips the two kinds once per block
+(`_excluded`).  `apply_transfer` rejects them from what its own two-row edit
+makes, not from that rule, so each move `neighbors` keeps is checked once
+more against the definition.
 """
 
 from __future__ import annotations
@@ -49,23 +52,20 @@ class InadmissibleTransferError(ValueError):
         return type(self), (self.reason, str(self)), vars(self)
 
 
-def _excluded(blocks: tuple[tuple[int, int], ...], i: int) -> dict[int, str]:
-    """The addable corners a move from block i cannot reach, each with its obstruction.
+def _excluded(blocks: tuple[tuple[int, int], ...], i: int) -> set[int]:
+    """The addable corners a move from block i cannot reach.
 
     There are at most two: j == i on a block of multiplicity one, and
-    j == i + 1 across a gap of one.
+    j == i + 1 across a gap of one.  These are the moves whose edit makes
+    no new partition, which `apply_transfer` rejects.
     """
     size, mult = blocks[i - 1]
-    excluded = {}
+    excluded = set()
     if mult == 1:
-        excluded[i] = "singleton_block"
+        excluded.add(i)
     if size - (blocks[i][0] if i < len(blocks) else 0) == 1:
-        excluded[i + 1] = "unit_gap"
+        excluded.add(i + 1)
     return excluded
-
-
-def _obstruction(p: Partition, move: TransferMove) -> str | None:
-    return _excluded(p.blocks, move.i).get(move.j)
 
 
 _OBSTRUCTIONS = {
@@ -75,7 +75,22 @@ _OBSTRUCTIONS = {
 }
 
 
-def _require_admissible(p: Partition, move: TransferMove) -> None:
+def apply_transfer(p: Partition, move: TransferMove) -> Partition:
+    """Carry out an admissible move and return the resulting partition.
+
+    With M_i = m_1 + ... + m_i, row M_i - 1 (last of block i) loses a cell
+    and row M_(j-1) (first of block j) gains one.  The edit runs on the parts
+    with one zero row past the end, so j == t+1 grows that row to a 1.  The
+    edit alone decides whether the move makes a new partition:
+    - first == last puts the cell back, the `singleton_block` obstruction;
+    - a rise in either pair of rows that meets an edited row is the
+      `unit_gap` obstruction.  Gaps are >= 1, so only j == i + 1 across a
+      gap of one rises, and there the two pairs are the same pair.
+    Either raises `InadmissibleTransferError`.  Otherwise the trailing zero
+    rows are dropped and the result is not validated again: p was, a moved
+    cell keeps every part a positive int, and the two pairs are in order.
+    Like every partition, the result builds its block form on first read.
+    """
     t = p.support_size
     # bool and float compare equal to ints, but a bool would index as 0 or 1
     # and a float would not index at all.
@@ -83,49 +98,26 @@ def _require_admissible(p: Partition, move: TransferMove) -> None:
         raise ValueError(f"removable index {move.i} out of range 1..{t} for {p}")
     if type(move.j) is not int or not 1 <= move.j <= t + 1:
         raise ValueError(f"addable index {move.j} out of range 1..{t + 1} for {p}")
-    reason = _obstruction(p, move)
-    if reason:
-        why = _OBSTRUCTIONS[reason].format(move.i)
-        raise InadmissibleTransferError(reason, f"move {move} on {p}: {why}")
-
-
-def apply_transfer(p: Partition, move: TransferMove) -> Partition:
-    """Carry out an admissible move and return the resulting partition.
-
-    With M_i = m_1 + ... + m_i, row M_i - 1 (last of block i) loses a cell,
-    dropped at zero, and row M_(j-1) (first of block j) gains one, or j == t+1
-    appends a 1.  The result is not validated again: p was, a moved cell
-    keeps every part a positive int once a zero row is dropped, and only the
-    two pairs of rows that meet an edited row can fall out of order.  Those
-    pairs are compared, and a rise raises the `ValueError` that `Partition`
-    raises.  As gaps are >= 1, a rise comes only from the two obstructions,
-    which `_require_admissible` rejects first.  Like every partition, the
-    result builds its block form on first read.
-    """
-    _require_admissible(p, move)
     i, j = move
-    blocks, parts = p.blocks, list(p.parts)
+    blocks, parts = p.blocks, [*p.parts, 0]
     # Sizes are distinct per block, so a block's first row is the first row
     # holding its size.
     size, mult = blocks[i - 1]
     last = parts.index(size) + mult - 1
-    first = parts.index(blocks[j - 1][0]) if j <= len(blocks) else len(parts)
+    first = parts.index(blocks[j - 1][0] if j <= t else 0)
     parts[last] -= 1
-    if first < len(parts):
-        parts[first] += 1
+    parts[first] += 1
+    # There is no row -1, and the zero row closes the last pair.
+    if first == last:
+        reason = "singleton_block"
+    elif (first and parts[first - 1] < parts[first]) or parts[last] < parts[last + 1]:
+        reason = "unit_gap"
     else:
-        parts.append(1)
-    if not parts[last]:
-        # The rows after the dropped one move up, and its two neighbors meet.
-        del parts[last]
-        first -= first > last
-        last -= 1
-    # There is no row -1, and a row past the end counts as 0.
-    if (first and parts[first - 1] < parts[first]) or (
-        0 <= last < len(parts) - 1 and parts[last] < parts[last + 1]
-    ):
-        raise ValueError(f"parts must be weakly decreasing, got {tuple(parts)}")
-    return _edited(tuple(parts), p.weight)
+        while not parts[-1]:
+            parts.pop()
+        return _edited(tuple(parts), p.weight)
+    why = _OBSTRUCTIONS[reason].format(i)
+    raise InadmissibleTransferError(reason, f"move {move} on {p}: {why}")
 
 
 def neighbors(p: Partition) -> dict[TransferMove, Partition]:
@@ -133,8 +125,10 @@ def neighbors(p: Partition) -> dict[TransferMove, Partition]:
 
     The mapping is injective, so its size is the degree of p in the transfer
     graph.  Keys are emitted in sorted move order.  The at most two corners
-    each block excludes are read once per block, so no move is classified
-    here: each admissible move is classified once, by `apply_transfer`.
+    each block excludes are read once per block (`_excluded`), and every
+    other move goes to the public `apply_transfer`, whose own edit rejects a
+    move that makes no new partition.  So each move kept here is checked
+    once more, against the definition rather than this rule.
     """
     blocks = p.blocks
     t = len(blocks)

@@ -6,6 +6,7 @@ and a cell-by-cell one are most likely to part ways.
 """
 
 import io
+import itertools
 import json
 import tracemalloc
 from contextlib import redirect_stdout
@@ -25,7 +26,6 @@ from partgraph import (
     make_partition,
     neighbors,
     parse_partition,
-    transfers,
 )
 from partgraph.cli import main
 
@@ -52,6 +52,11 @@ def block_patterns(draw):
 def from_pattern(gap_list, mults):
     sizes = [sum(gap_list[k:]) for k in range(len(gap_list))]
     return make_partition([size for size, mult in zip(sizes, mults) for _ in range(mult)])
+
+
+def last_size_one(pattern):
+    gap_list, mults = pattern
+    return gap_list[:-1] + (1,), mults
 
 
 def admissible_moves(parts):
@@ -140,31 +145,44 @@ class TestTrustBoundary:
             ]
             assert validations == []
 
-    def test_edit_check_rejects_what_validation_rejected(self, monkeypatch):
-        monkeypatch.setattr(transfers, "_obstruction", lambda p, move: None)
-        with pytest.raises(ValueError, match=r"weakly decreasing, got \(1, 2\)") as excinfo:
+    def test_edit_check_rejects_what_validation_rejected(self):
+        # The edit 2,1 -> 1,2 rises, so apply_transfer rejects the move as the
+        # unit gap it is; the same parts given to Partition are out of order.
+        with pytest.raises(InadmissibleTransferError) as excinfo:
             apply_transfer(make_partition([2, 1]), TransferMove(1, 2))
-        assert not isinstance(excinfo.value, InadmissibleTransferError)
+        assert excinfo.value.reason == "unit_gap"
+        assert str(excinfo.value) == (
+            "move 1->2 on 2,1: the gap after block 1 is one, so the transfer only swaps two part sizes"
+        )
+        with pytest.raises(ValueError, match=r"weakly decreasing, got \(1, 2\)"):
+            Partition((1, 2))
 
-    def test_edit_check_without_obstructions(self, monkeypatch):
-        # With no obstruction check, each obstructed move either raises the
-        # edit check's error or, off a singleton block or from a last block of
-        # ones, gives p back: never a partition out of order.
-        monkeypatch.setattr(transfers, "_obstruction", lambda p, move: None)
-        for n in range(1, 11):
-            for p in enumerate_partitions(n):
-                t = p.support_size
-                for i in range(1, t + 1):
-                    for j in range(1, t + 2):
-                        admissible = definition_admissible(p.parts, i, j)
-                        try:
-                            q = apply_transfer(p, TransferMove(i, j))
-                        except ValueError as err:
-                            assert not admissible
-                            assert "weakly decreasing" in str(err)
-                        else:
-                            assert admissible or q == p
-                            assert q == Partition(q.parts)
+    def test_edit_check_without_obstructions(self):
+        # apply_transfer reads no obstruction rule: its edit alone rejects
+        # each move that makes no new partition, with the obstruction the
+        # blocks show, and every other move gives a new, ordered partition.
+        patterns = {
+            last_size_one((gap_list, mults))
+            for t in range(1, 4)
+            for gap_list in itertools.product([1, 2, 17], repeat=t)
+            for mults in itertools.product([1, 2, 3], repeat=t)
+        }
+        small = [p for n in range(1, 11) for p in enumerate_partitions(n)]
+        for p in [*small, *(from_pattern(*pattern) for pattern in sorted(patterns))]:
+            sizes = [size for size, _ in p.blocks] + [0]
+            for i, (size, mult) in enumerate(p.blocks, 1):
+                for j in range(1, p.support_size + 2):
+                    move = TransferMove(i, j)
+                    if definition_admissible(p.parts, i, j):
+                        q = apply_transfer(p, move)
+                        assert q != p and q == Partition(q.parts)
+                        assert q.parts == raw_transfer_parts(p.parts, i, j)
+                        continue
+                    reason = "singleton_block" if j == i and mult == 1 else "unit_gap"
+                    assert reason == "singleton_block" or (j == i + 1 and size - sizes[i] == 1)
+                    with pytest.raises(InadmissibleTransferError) as excinfo:
+                        apply_transfer(p, move)
+                    assert excinfo.value.reason == reason, (p, move)
 
     def test_edge_still_validates(self, validations):
         with pytest.raises(ValueError):

@@ -20,7 +20,7 @@ from partgraph import (
 from partgraph.graphs import label_json
 
 from oracles import adjacent_by_cells, definition_admissible, parts_from_blocks, raw_transfer_parts
-from test_block_form import block_patterns, from_pattern
+from test_block_form import block_patterns, from_pattern, last_size_one
 
 partitions = st.lists(st.integers(1, 9), min_size=1, max_size=8).map(make_partition)
 
@@ -161,11 +161,6 @@ class TestApply:
             assert q != p
 
 
-def last_size_one(pattern):
-    gap_list, mults = pattern
-    return gap_list[:-1] + (1,), mults
-
-
 class TestWideGaps:
     """The whole move grid on patterns with gaps in {1, 2, 17..60}."""
 
@@ -284,23 +279,33 @@ class TestNeighbors:
             assert are_adjacent(q, p)
 
     def test_classifies_each_move_once(self, monkeypatch):
-        # neighbors reads the excluded corners off each block and leaves the
-        # classification of each admissible move to apply_transfer, so the
-        # moves it keeps are the grid's unobstructed ones, each classified once.
-        obstruction = transfers._obstruction
+        # neighbors reads the excluded corners once per block, in block order,
+        # and keeps the grid's admissible moves; apply_transfer checks each
+        # move by its own edit and never reads the excluded corners.
+        excluded = transfers._excluded
         calls = []
 
-        def counted(p, move):
-            calls.append(move)
-            return obstruction(p, move)
+        def counted(blocks, i):
+            calls.append(i)
+            return excluded(blocks, i)
 
-        monkeypatch.setattr(transfers, "_obstruction", counted)
+        monkeypatch.setattr(transfers, "_excluded", counted)
         wide = [make_partition([453, 453, 303, 153, 152, 2]), make_partition([10**8, 10**8, 3])]
         for p in [*(p for n in range(1, 13) for p in enumerate_partitions(n)), *wide]:
-            admissible = [move for move in move_grid(p) if obstruction(p, move) is None]
+            admissible = [
+                move for move in move_grid(p) if definition_admissible(p.parts, move.i, move.j)
+            ]
             calls.clear()
-            assert list(neighbors(p)) == admissible, p
-            assert calls == admissible, p
+            nbrs = neighbors(p)
+            assert list(nbrs) == admissible, p
+            assert calls == list(range(1, p.support_size + 1)), p
+            calls.clear()
+            for move in move_grid(p):
+                try:
+                    apply_transfer(p, move)
+                except InadmissibleTransferError:
+                    pass
+            assert calls == [], p
 
 
 class TestConjugateDelta:
