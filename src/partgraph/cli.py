@@ -204,11 +204,13 @@ def cmd_neighborhood(args: argparse.Namespace) -> tuple[str, int]:
     observed, predicted = check.neighborhood, check.corners
     status = 0 if check.verified else 1
     if args.format == "json":
+        # Without violations the line graph is the observed graph itself.
+        graph = observed.to_json()
         return _json({
             "partition": p.to_json(),
             "weight": p.weight,
-            "neighborhood": observed.to_json(),
-            "line_graph": predicted.to_json(),
+            "neighborhood": graph,
+            "line_graph": graph if predicted is observed else predicted.to_json(),
             "bijection": [
                 {"move": move.to_json(), "neighbor": target.to_json()}
                 for move, target in zip(check.moves, check.targets)

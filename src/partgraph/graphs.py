@@ -135,11 +135,15 @@ def build_partition_graph(n: int) -> SimpleGraph:
     are the partitions whose conjugates arise from conjugate(p) by moving one
     cell from the last row of a run to the first row of a run or to a new
     row.  The two moves that give no new partition either give conjugate(p)
-    back or rows out of order, which the index does not hold.  The index
-    keys are the conjugates' rows, expanded from the block forms `conjugate`
-    returns, and the run ends are read off those block forms.  Each vertex
-    costs one lookup per pair of runs, and each edge goes straight into the
-    graph's bitsets, never into a list.
+    back or rows out of order, which the index does not hold.  Only moves to
+    an earlier row are tried: their conjugate dominates conjugate(p), so, as
+    conjugation reverses dominance, their partition is dominated by p, hence
+    lex-smaller and later in `enumerate_partitions`' reverse-lex order, at
+    b > a.  Any other move gives b <= a, so each edge is found once, from its
+    earlier end.  The index keys are the conjugates' rows, expanded from the
+    block forms `conjugate` returns, and the run ends are read off those
+    block forms.  Each edge goes straight into the graph's bitsets, never
+    into a list.
     """
     labels = enumerate_partitions(n)
     index = {tuple(chain.from_iterable((size,) * width for size, width in conjugate(p))): a
@@ -151,6 +155,8 @@ def build_partition_graph(n: int) -> SimpleGraph:
             ends = list(accumulate(width for _, width in conjugate(labels[a])))
             for end in ends:
                 for first in (0, *ends):
+                    if first >= end - 1:
+                        break
                     moved = padded.copy()
                     moved[end - 1] -= 1
                     moved[first] += 1

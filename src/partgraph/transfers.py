@@ -145,40 +145,40 @@ def neighbors(p: Partition) -> dict[TransferMove, Partition]:
 def are_adjacent(p: Partition, q: Partition) -> bool:
     """Adjacency in the transfer graph, tested in conjugate coordinates.
 
-    Two partitions of the same weight are adjacent exactly when their
-    diagrams differ in two cells, one cell moved: the L1 distance of their
-    conjugates is 2.  Equal partitions are at distance 0, so no partition is
-    adjacent to itself.  The two conjugates are compared run by run, as step
-    functions over the columns given by their blocks, so the test costs
-    O(t_p + t_q) steps.  Each run adds its width times the difference of the
-    two columns to the distance, and the test fails as soon as that passes 2.
-    `conjugate` returns block forms, so no conjugate is ever expanded into
-    parts, and each partition's conjugate is built once and reused: in the
-    full sweep both sides are G_n's labels, whose conjugates the graph's
-    index build made, so the test builds none.
+    Adjacent partitions differ by one moved cell: their conjugates are at L1
+    distance 2, equal ones at 0.  The walk steps from run end to run end
+    (column counts) of the two memoised conjugates, adds |v_p - v_q| times
+    the columns up to the nearer end, and fails once the sum passes 2.  A side
+    past its last run has height 0 up to p.weight + 1, past every column.
     """
     if p.weight != q.weight:
         raise ValueError(
             f"partitions of different weights: {p} has {p.weight}, {q} has {q.weight}"
         )
-    end = max(p.blocks[0][0], q.blocks[0][0])
-    # A zero run past the last column of each conjugate, wide enough to reach `end`.
-    runs_p = conjugate(p) + ((0, end),)
-    runs_q = conjugate(q) + ((0, end),)
-    (vp, wp), (vq, wq) = runs_p[0], runs_q[0]
+    runs_p, runs_q = conjugate(p), conjugate(q)
+    tp, tq, stop = len(runs_p), len(runs_q), p.weight + 1
+    (vp, end_p), (vq, end_q) = runs_p[0], runs_q[0]
     i = j = col = moved = 0
-    while col < end:
-        width = min(wp, wq)
-        moved += abs(vq - vp) * width
-        if moved > 2:
-            return False
-        col += width
-        wp -= width
-        wq -= width
-        if not wp:
+    while True:
+        end = end_p if end_p < end_q else end_q
+        if vp != vq:
+            moved += (vp - vq if vp > vq else vq - vp) * (end - col)
+            if moved > 2:
+                return False
+        if end == stop:
+            return moved == 2
+        col = end
+        if end_p == end:
             i += 1
-            vp, wp = runs_p[i]
-        if not wq:
+            if i < tp:
+                vp, width = runs_p[i]
+                end_p += width
+            else:
+                vp, end_p = 0, stop
+        if end_q == end:
             j += 1
-            vq, wq = runs_q[j]
-    return moved == 2
+            if j < tq:
+                vq, width = runs_q[j]
+                end_q += width
+            else:
+                vq, end_q = 0, stop

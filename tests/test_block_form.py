@@ -209,6 +209,28 @@ class TestCostIndependentOfPartSize:
         assert conjugate(p) is conjugate(p)
 
 
+class TestPartsPastTwoToTheSixtyTwo:
+    """Columns past 2**62: a walk that ran each exhausted conjugate at height 0
+    only up to a fixed column would stop short of them."""
+
+    @staticmethod
+    def row_distance(p, q):
+        return sum(abs(a - b) for a, b in itertools.zip_longest(p.parts, q.parts, fillvalue=0))
+
+    def test_adjacency_matches_row_distance(self):
+        big = 2**63
+        p = Partition((big, big, 3))
+        pairs = [(Partition((big,)), Partition((big - 1, 1)))]
+        pairs += [(p, q) for q in neighbors(p).values()]
+        far = Partition((big + 1, big - 1, 2, 1))
+        pairs.append((p, far))
+        expected = [self.row_distance(x, y) == 2 for x, y in pairs]
+        assert expected == [True] * (len(pairs) - 1) + [False]
+        for (x, y), adjacent in zip(pairs, expected):
+            assert are_adjacent(x, y) is adjacent
+            assert are_adjacent(y, x) is adjacent
+
+
 def cli_json(*argv):
     out = io.StringIO()
     with redirect_stdout(out):

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from itertools import combinations, compress
+from itertools import combinations, compress, product
 
 import partgraph.graphs
 from partgraph import (
@@ -27,7 +27,7 @@ from partgraph import (
 )
 from partgraph.graphs import _maximal_cliques, _relation_edges
 
-from oracles import adjacent_by_cells, naive_maximal_cliques, partition_count
+from oracles import adjacent_by_cells, conjugate_parts_by_cells, naive_maximal_cliques, partition_count
 
 
 def move(text):
@@ -210,6 +210,29 @@ class TestPartitionGraph:
             g = build_partition_graph(n)
             labels = enumerate_partitions(n)
             assert g == SimpleGraph(tuple(labels), _relation_edges(labels, are_adjacent)), n
+
+    def test_skipped_moves_reach_no_later_vertex_to_sixteen(self):
+        # The index build moves a cell of a conjugate from the last row of a
+        # run only to an earlier row that starts a run.  The moves it skips,
+        # back to the cell's own row or to a later row, never reach b > a.
+        reached = 0
+        for n in range(1, 17):
+            labels = enumerate_partitions(n)
+            index = {conjugate_parts_by_cells(p.parts): a for a, p in enumerate(labels)}
+            for rows, a in index.items():
+                padded = [*rows, 0]
+                lasts = [r for r in range(len(rows)) if padded[r] > padded[r + 1]]
+                firsts = [f for f in range(len(padded)) if f == 0 or padded[f - 1] > padded[f]]
+                for last, first in product(lasts, firsts):
+                    if first >= last:
+                        moved = padded.copy()
+                        moved[last] -= 1
+                        moved[first] += 1
+                        b = index.get(tuple(filter(None, moved)))
+                        assert b is None or b <= a, (n, rows, last, first)
+                        reached += b is not None and b < a
+        # Every edge is one such move from its later end.
+        assert reached == sum(build_partition_graph(n).edge_count for n in range(1, 17))
 
     @pytest.mark.parametrize("n, edges", [(14, 525), (16, 1033), (18, 1948), (20, 3545)])
     def test_edge_counts(self, n, edges):
