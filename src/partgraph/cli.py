@@ -340,7 +340,3 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return status
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

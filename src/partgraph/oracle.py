@@ -11,7 +11,8 @@ index build gave each its conjugate, so each conjugate is built once per
 weight.
 
 Each check reads one observation against a prediction of its own and
-returns that partition's failures; it counts nothing and times nothing:
+returns what disagreed, one detail string each, as a tuple.  It builds no
+failure record, keeps no memo, counts nothing and times nothing:
 
 - degrees: distinct targets, the degree formula and the degree in G_n;
 - neighborhoods: adjacency of the targets against corner sharing, and every
@@ -23,10 +24,12 @@ returns that partition's failures; it counts nothing and times nothing:
 
 `run_all` is the only loop.  It hands each observation to the four checks
 before it makes the next, so a sweep holds one partition's observation at a
-time, and it tallies what each check examined, failed and took.  It reads
-each partition's local type once, off the block form and never off the
-observed moves, and hands it to the three checks that predict from it
-(degrees, cliques, type_determinacy); no check is timed for that read.
+time.  It alone owns the failure records, their replays, the memo and the
+timing: it turns each detail a check returns into a record and tallies what
+each check examined, failed and took.  It reads each partition's local type
+once, off the block form and never off the observed moves, and hands it to
+the three checks that predict from it (degrees, cliques, type_determinacy);
+no check is timed for that read.
 With `--degrees-only` it calls `verify_degrees` on each enumerated partition,
 its local type and its `neighbors`, and nothing is observed.
 
@@ -41,13 +44,13 @@ the move's target, which equals by parts the partition `neighbors` made.
 
 `run_all` keeps one memo, which dies with the call.  By the line graph
 theorem many partitions show the same observed neighborhood (507 of weight
-<= 14 show 80), so what is a pure function of that graph (the corner
-comparison, the clique search, the classification of the cliques and, per
-local type, the type_determinacy comparison with the type's model) is
-derived once per distinct graph, keyed by its move labels and the
-adjacency read off G_n, plus the type for type_determinacy.  Each partition
-still gets its own moves, targets, lookups in G_n, `are_adjacent` per
-move, degree check and failure records.
+<= 14 show 80), so what is a pure function of that graph is derived once
+per distinct graph, keyed by its move labels and the adjacency read off
+G_n: in `observe`, the corner comparison and the clique search; in
+`run_all`, per local type too, the details of the two checks that read
+only the observed graph and the type, cliques and type_determinacy.  Each
+partition still gets its own moves, targets, lookups in G_n, `are_adjacent`
+per move, degree check and failure records.
 
 In the report, each check's time includes the part of the observation named
 after it: the build of G_n and of its index for degrees,
@@ -55,9 +58,9 @@ after it: the build of G_n and of its index for degrees,
 cliques.  type_determinacy's time is its own.  A memo lookup is charged
 to the check whose step it replaces.
 
-Each failure records the partition, both values and a `replay` CLI command:
-`partgraph verify --nmax n`, the sweep up to the failing partition's weight,
-with `--degrees-only` when the failure came from that mode.
+Each failure records the partition, the check's detail and a `replay` CLI
+command, which `run_all` chooses: `partgraph verify --nmax n`, the sweep up
+to the failing partition's weight, with `--degrees-only` in that mode.
 """
 
 from __future__ import annotations
@@ -259,7 +262,7 @@ def observe(n: int, memo: dict | None = None) -> Iterator[Observation]:
 
 
 def verify_degrees(p: Partition, T: LocalType, targets: Iterable[Partition],
-                   graph_degree: int | None = None) -> list[dict]:
+                   graph_degree: int | None = None) -> tuple[str, ...]:
     """Degree check of one partition of local type T.
 
     Compares the count of its distinct targets with the closed formula and,
@@ -270,58 +273,42 @@ def verify_degrees(p: Partition, T: LocalType, targets: Iterable[Partition],
     if graph_degree is not None:
         values["graph_degree"] = graph_degree
     if len(set(values.values())) == 1:
-        return []
-    return [_failure("degrees", p, f"degree mismatch: {values}", graph_degree is None)]
+        return ()
+    return (f"degree mismatch: {values}",)
 
 
-def verify_neighborhoods(o: Observation) -> list[dict]:
+def verify_neighborhoods(o: Observation) -> tuple[str, ...]:
     """Neighborhood check of one observation.
 
     Every pair of targets must be adjacent exactly when their moves share a
     corner, and every target must be adjacent to its partition.
     """
     check, p = o.neighborhood, o.partition
-    failures = []
-    for v in check.violations:
-        failures.append(_failure("neighborhoods", p, f"pair {v}"))
-    for move, target in zip(check.moves, check.targets):
-        if not are_adjacent(p, target):
-            failures.append(_failure(
-                "neighborhoods", p, f"move {move}: target {target} is not adjacent",
-            ))
-    return failures
+    return (
+        *(f"pair {v}" for v in check.violations),
+        *(f"move {move}: target {target} is not adjacent"
+          for move, target in zip(check.moves, check.targets) if not are_adjacent(p, target)),
+    )
 
 
-def _classified(cliques: list[tuple[TransferMove, ...]]) -> tuple[tuple[str, ...], int]:
-    """The detail of each clique that does not classify, and one plus the largest size."""
-    unclassifiable = []
-    for clique in cliques:
-        try:
-            classify_clique(clique)
-        except CliqueClassificationError as exc:
-            unclassifiable.append(f"unclassifiable clique {[str(m) for m in clique]}: {exc}")
-    return tuple(unclassifiable), 1 + max((len(clique) for clique in cliques), default=0)
-
-
-def verify_cliques(o: Observation, T: LocalType, memo: dict | None = None) -> list[dict]:
+def verify_cliques(o: Observation, T: LocalType) -> tuple[str, ...]:
     """Clique check of one observation, of a partition of local type T.
 
     Every maximal clique found by search must classify by a shared corner,
     and one plus the largest clique size must match the closed-form clique
-    number.  With a memo, each distinct neighborhood's cliques are
-    classified once.
+    number.
     """
-    p = o.partition
-    unclassifiable, searched = _once(
-        memo, lambda: _classified(o.cliques), "classified", o.neighborhood.neighborhood,
-    )
-    failures = [_failure("cliques", p, detail) for detail in unclassifiable]
+    details = []
+    for clique in o.cliques:
+        try:
+            classify_clique(clique)
+        except CliqueClassificationError as exc:
+            details.append(f"unclassifiable clique {[str(m) for m in clique]}: {exc}")
+    searched = 1 + max(map(len, o.cliques), default=0)
     formula = local_clique_number(T)
     if searched != formula:
-        failures.append(_failure(
-            "cliques", p, f"clique number mismatch: search={searched}, formula={formula}",
-        ))
-    return failures
+        details.append(f"clique number mismatch: search={searched}, formula={formula}")
+    return tuple(details)
 
 
 def _local_signature(check: NeighborhoodCheck, cliques: list[tuple[TransferMove, ...]]) -> dict:
@@ -351,27 +338,20 @@ def _type_prediction(T: LocalType) -> dict:
     }
 
 
-def verify_type_determinacy(o: Observation, T: LocalType,
-                            memo: dict | None = None) -> list[dict]:
+def verify_type_determinacy(o: Observation, T: LocalType) -> tuple[str, ...]:
     """A partition must expose the local data its local type T alone predicts.
 
     Checking every partition, of any weight, against its type's model means,
     by transitivity, that all partitions of a type agree with each other,
-    across weights.  With a memo, each distinct neighborhood is compared,
-    and its type's model built, once per type; without one, both are done
-    for every call.
+    across weights.
     """
-    def disagreements() -> tuple[str, ...]:
-        signature = _local_signature(o.neighborhood, o.cliques)
-        predicted = _type_prediction(T)
-        return tuple(
-            f"{key} disagrees with the type model: {signature[key]!r} vs {predicted[key]!r}"
-            for key in signature
-            if signature[key] != predicted[key]
-        )
-
-    details = _once(memo, disagreements, "type_determinacy", o.neighborhood.neighborhood, T)
-    return [_failure("type_determinacy", o.partition, detail) for detail in details]
+    signature = _local_signature(o.neighborhood, o.cliques)
+    predicted = _type_prediction(T)
+    return tuple(
+        f"{key} disagrees with the type model: {signature[key]!r} vs {predicted[key]!r}"
+        for key in signature
+        if signature[key] != predicted[key]
+    )
 
 
 def run_all(n_max: int, degrees_only: bool = False) -> VerificationReport:
@@ -379,12 +359,13 @@ def run_all(n_max: int, degrees_only: bool = False) -> VerificationReport:
 
     This is the only loop: it observes each partition once, reads its local
     type once, and hands both to the four checks before making the next.  It
-    tallies locally, one list of failures and one time per check and one
-    count of partitions examined, and builds the report once, after the
-    loop.  Each check's time is its own plus the part of the observation
-    charged to it.  One memo, made per call, goes to `observe` and to the
-    cliques and type_determinacy checks.  With degrees_only, only the
-    neighbor count versus formula
+    turns what each check returns into failure records, with the replay of
+    this mode, and tallies locally, one list of failures and one time per
+    check and one count of partitions examined; it builds the report once,
+    after the loop.  Each check's time is its own plus the part of the
+    observation charged to it.  One memo, made per call, goes to `observe`
+    and holds the cliques and type_determinacy details per observed graph
+    and type.  With degrees_only, only the neighbor count versus formula
     comparison runs on each enumerated partition (no graph build, no pair
     tests); that mode stays cheap at weights where the full sweep would not.
     """
@@ -393,23 +374,30 @@ def run_all(n_max: int, degrees_only: bool = False) -> VerificationReport:
     weights = range(1, n_max + 1)
     if degrees_only:
         checks = [lambda p, T: verify_degrees(p, T, neighbors(p).values())]
-        seen = ((p, local_type(p), {}) for n in weights for p in enumerate_partitions(n))
+        seen = ((p, p, local_type(p), {}) for n in weights for p in enumerate_partitions(n))
     else:
         memo: dict = {}
+        # Tagged by the check's report name, never by the function's own name,
+        # which a wrapper may share.  observe's entries carry no type, so none
+        # of their keys equals one of these.
         checks = [
             lambda o, T: verify_degrees(o.partition, T, o.neighborhood.targets, o.graph_degree),
             lambda o, T: verify_neighborhoods(o),
-            lambda o, T: verify_cliques(o, T, memo),
-            lambda o, T: verify_type_determinacy(o, T, memo),
+            lambda o, T: _once(memo, lambda: verify_cliques(o, T), "cliques",
+                               o.neighborhood.neighborhood, T),
+            lambda o, T: _once(memo, lambda: verify_type_determinacy(o, T), "type_determinacy",
+                               o.neighborhood.neighborhood, T),
         ]
-        seen = ((o, local_type(o.partition), o.ms) for n in weights for o in observe(n, memo))
+        seen = ((o.partition, o, local_type(o.partition), o.ms)
+                for n in weights for o in observe(n, memo))
     failures: dict[str, list[dict]] = {name: [] for name in CHECKS[:len(checks)]}
     ms = dict.fromkeys(failures, 0.0)
     examined = 0
-    for subject, T, charged in seen:
+    for p, subject, T, charged in seen:
         for name, check in zip(failures, checks):
             start = time.perf_counter()
-            failures[name] += check(subject, T)
+            details = check(subject, T)
+            failures[name] += [_failure(name, p, detail, degrees_only) for detail in details]
             ms[name] += (time.perf_counter() - start) * 1000 + charged.get(name, 0.0)
         examined += 1
     return VerificationReport((1, n_max), tuple(

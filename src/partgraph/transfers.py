@@ -90,16 +90,21 @@ def apply_transfer(p: Partition, move: TransferMove) -> Partition:
     rows are dropped and the result is not validated again: p was, a moved
     cell keeps every part a positive int, and the two pairs are in order.
     Like every partition, the result builds its block form on first read.
+    Only a `TransferMove` is taken: a plain (i, j) pair equals one but has
+    no text form to report.
     """
-    t = p.support_size
+    if type(move) is not TransferMove:
+        raise ValueError(f"move must be a TransferMove, got {move!r}")
+    i, j = move
+    blocks = p.blocks
+    t = len(blocks)
     # bool and float compare equal to ints, but a bool would index as 0 or 1
     # and a float would not index at all.
-    if type(move.i) is not int or not 1 <= move.i <= t:
-        raise ValueError(f"removable index {move.i} out of range 1..{t} for {p}")
-    if type(move.j) is not int or not 1 <= move.j <= t + 1:
-        raise ValueError(f"addable index {move.j} out of range 1..{t + 1} for {p}")
-    i, j = move
-    blocks, parts = p.blocks, [*p.parts, 0]
+    if type(i) is not int or not 1 <= i <= t:
+        raise ValueError(f"removable index {i} out of range 1..{t} for {p}")
+    if type(j) is not int or not 1 <= j <= t + 1:
+        raise ValueError(f"addable index {j} out of range 1..{t + 1} for {p}")
+    parts = [*p.parts, 0]
     # Sizes are distinct per block, so a block's first row is the first row
     # holding its size.
     size, mult = blocks[i - 1]

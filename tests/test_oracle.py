@@ -41,19 +41,55 @@ def observe_up_to(n_max):
     return [o for n in range(1, n_max + 1) for o in observe(n)]
 
 
+def records(check, p, details, degrees_only=False):
+    """The failure records of one check's details on p, field for field as a
+    report holds them; the checks return the details alone."""
+    replay = f"partgraph verify --nmax {p.weight}" + (" --degrees-only" if degrees_only else "")
+    return [{"check": check, "n": p.weight, "partition": str(p), "detail": detail,
+             "replay": replay} for detail in details]
+
+
 def observed_degrees(o):
-    return verify_degrees(o.partition, local_type(o.partition), o.neighborhood.targets,
-                          o.graph_degree)
+    return records("degrees", o.partition, verify_degrees(
+        o.partition, local_type(o.partition), o.neighborhood.targets, o.graph_degree,
+    ))
 
 
 def enumerated_degrees(n):
-    return [f for p in enumerate_partitions(n)
-            for f in verify_degrees(p, local_type(p), neighbors(p).values())]
+    return [f for p in enumerate_partitions(n) for f in records(
+        "degrees", p, verify_degrees(p, local_type(p), neighbors(p).values()), degrees_only=True,
+    )]
+
+
+def neighborhood_failures(n):
+    return [f for o in observe(n)
+            for f in records("neighborhoods", o.partition, verify_neighborhoods(o))]
+
+
+def clique_failures(n):
+    return [f for o in observe(n)
+            for f in records("cliques", o.partition, verify_cliques(o, local_type(o.partition)))]
 
 
 def type_failures(observed):
-    return [f for o in observed
-            for f in verify_type_determinacy(o, local_type(o.partition))]
+    return [f for o in observed for f in records(
+        "type_determinacy", o.partition, verify_type_determinacy(o, local_type(o.partition)),
+    )]
+
+
+def mispredict_degree(monkeypatch, p):
+    """Make the type model of p's local type predict one degree too many."""
+    bad_type = local_type(p)
+    predict = partgraph.oracle._type_prediction
+
+    def wrong_degree(T):
+        predicted = predict(T)
+        if T == bad_type:
+            predicted["degree"] += 1
+        return predicted
+
+    monkeypatch.setattr(partgraph.oracle, "_type_prediction", wrong_degree)
+    return bad_type
 
 
 class TestSingleWeightVerifiers:
@@ -91,16 +127,7 @@ class TestSingleWeightVerifiers:
 class TestTypeDeterminacyFailures:
     def test_every_partition_of_a_mispredicted_type_fails(self, monkeypatch):
         # 2,2 shares its type with 2,2,2 / 2,2,2,2 / 3,3 / 4,4 up to weight 8.
-        bad_type = local_type(make_partition([2, 2]))
-        predict = partgraph.oracle._type_prediction
-
-        def wrong_degree(T):
-            predicted = predict(T)
-            if T == bad_type:
-                predicted["degree"] += 1
-            return predicted
-
-        monkeypatch.setattr(partgraph.oracle, "_type_prediction", wrong_degree)
+        bad_type = mispredict_degree(monkeypatch, make_partition([2, 2]))
         failures = type_failures(observe_up_to(8))
         flagged = {(f["n"], f["partition"]) for f in failures}
         expected = {
@@ -174,7 +201,7 @@ class TestFailureDetails:
             return vertex, adjacent, label
 
         monkeypatch.setattr(partgraph.oracle, "_graph_relation", faulty)
-        failures = [f for o in observe(4) for f in verify_neighborhoods(o)]
+        failures = neighborhood_failures(4)
         assert [(f["partition"], f["detail"]) for f in failures] == flagged
         assert all(f["check"] == "neighborhoods" and f["n"] == 4 for f in failures)
         assert {f["replay"] for f in failures} == {"partgraph verify --nmax 4"}
@@ -184,7 +211,7 @@ class TestFailureDetails:
     def test_clique_number_mismatch_detail(self, monkeypatch):
         formula = partgraph.oracle.local_clique_number
         monkeypatch.setattr(partgraph.oracle, "local_clique_number", lambda T: formula(T) + 1)
-        failures = [f for o in observe(4) for f in verify_cliques(o, local_type(o.partition))]
+        failures = clique_failures(4)
         searched = [("4", 2), ("3,1", 3), ("2,2", 3), ("2,1,1", 3), ("1,1,1,1", 2)]
         expected = [
             (partition, f"clique number mismatch: search={omega}, formula={omega + 1}")
@@ -217,7 +244,7 @@ class TestFailureDetails:
             return p if (p, move) == (broken, (1, 2)) else apply(p, move)
 
         monkeypatch.setattr(partgraph.transfers, "apply_transfer", back_home)
-        failures = [f for o in observe(4) for f in verify_neighborhoods(o)]
+        failures = neighborhood_failures(4)
         assert [(f["partition"], f["detail"], f["replay"]) for f in failures] == [
             ("2,2", "move 1->2: target 2,2 is not adjacent", "partgraph verify --nmax 4"),
         ]
@@ -243,6 +270,38 @@ class TestFailureDetails:
         }
         for failure in failures:
             assert failure in replayed_failures(capsys, failure["replay"]), failure
+
+    def test_checks_return_details_and_build_no_record(self, monkeypatch):
+        # Wrong closed forms and a graph that joins no pair make every check
+        # disagree somewhere; each returns its details, and run_all alone
+        # turns them into records.
+        oracle = partgraph.oracle
+        built = []
+        monkeypatch.setattr(oracle, "_failure", lambda *args: built.append(args))
+        for name in ("degree_formula", "local_clique_number", "local_dimension"):
+            monkeypatch.setattr(oracle, name, lambda T, f=getattr(oracle, name): f(T) + 1)
+        graph_relation = oracle._graph_relation
+
+        def unjoined(graph):
+            vertex, _, label = graph_relation(graph)
+            return vertex, lambda a, b: False, label
+
+        monkeypatch.setattr(oracle, "_graph_relation", unjoined)
+        returned = Counter()
+        for o in observe(4):
+            p, T = o.partition, local_type(o.partition)
+            for name, details in [
+                ("degrees", verify_degrees(p, T, o.neighborhood.targets, o.graph_degree)),
+                ("degrees", verify_degrees(p, T, neighbors(p).values())),
+                ("neighborhoods", verify_neighborhoods(o)),
+                ("cliques", verify_cliques(o, T)),
+                ("type_determinacy", verify_type_determinacy(o, T)),
+            ]:
+                assert type(details) is tuple, name
+                assert all(type(detail) is str for detail in details), name
+                returned[name] += len(details)
+        assert set(returned) == set(oracle.CHECKS) and all(returned.values())
+        assert built == []
 
     def test_a_target_of_another_weight_is_rejected(self, monkeypatch):
         # Send the move 1->2 of 2,2 to 2,1,1,1, of weight 5: G_n of weight 4
@@ -288,6 +347,9 @@ class TestFailureDetails:
         assert calls == {}
 
     def test_run_all_observes_each_partition_once(self, monkeypatch):
+        graph_level = len({(o.neighborhood.neighborhood, local_type(o.partition))
+                           for o in observe_up_to(8)})
+        assert graph_level < 66
         modules = (partgraph.oracle, partgraph.graphs, partgraph.transfers)
         checks = ("verify_degrees", "verify_neighborhoods", "verify_cliques",
                   "verify_type_determinacy")
@@ -298,12 +360,15 @@ class TestFailureDetails:
         # One neighbors call and one induced neighborhood per partition; one
         # adjacency test per move's target, 218 = the sum of the degrees, as
         # the neighbor pairs are read off G_n; apply_transfer once per move;
-        # each check and one local type read once per partition; one observe
-        # and one relation built from G_n per weight.
+        # the degree and neighborhood checks and one local type read once per
+        # partition, the cliques and type_determinacy checks once per
+        # distinct observed graph and type; one observe and one relation
+        # built from G_n per weight.
         assert calls == {
             "neighbors": 66, "induced_neighborhood": 66,
             "are_adjacent": 218, "apply_transfer": 218, "observe": 8, "_graph_relation": 8,
-            "local_type": 66, **dict.fromkeys(checks, 66),
+            "local_type": 66, **dict.fromkeys(checks[:2], 66),
+            **dict.fromkeys(checks[2:], graph_level),
         }
         calls.clear()
         for n in range(1, 9):
@@ -355,16 +420,20 @@ class TestFailureDetails:
 
 def unmemoised_failures(n_max):
     """Each check's failures to weight n_max, from the four checks in run_all's
-    order but called without a memo, so every observation is derived afresh."""
+    order but called outside it, with no memo, so every observation is derived
+    afresh and every record is built here."""
     oracle = partgraph.oracle
     failures = {name: [] for name in oracle.CHECKS}
     for o in observe_up_to(n_max):
-        T = oracle.local_type(o.partition)
-        failures["degrees"] += verify_degrees(o.partition, T, o.neighborhood.targets,
-                                              o.graph_degree)
-        failures["neighborhoods"] += verify_neighborhoods(o)
-        failures["cliques"] += verify_cliques(o, T)
-        failures["type_determinacy"] += verify_type_determinacy(o, T)
+        p = o.partition
+        T = oracle.local_type(p)
+        failures["degrees"] += records("degrees", p, verify_degrees(
+            p, T, o.neighborhood.targets, o.graph_degree,
+        ))
+        failures["neighborhoods"] += records("neighborhoods", p, verify_neighborhoods(o))
+        failures["cliques"] += records("cliques", p, verify_cliques(o, T))
+        failures["type_determinacy"] += records("type_determinacy", p,
+                                                verify_type_determinacy(o, T))
     return failures
 
 
@@ -394,16 +463,7 @@ class TestSweepMemo:
         assert {f["partition"] for f in failures["type_determinacy"]} == {"4,4", "5,2,1"}
 
     def test_a_wrong_type_model_fails_as_without_the_memo(self, monkeypatch):
-        bad_type = local_type(make_partition([2, 2]))
-        predict = partgraph.oracle._type_prediction
-
-        def wrong_degree(T):
-            predicted = predict(T)
-            if T == bad_type:
-                predicted["degree"] += 1
-            return predicted
-
-        monkeypatch.setattr(partgraph.oracle, "_type_prediction", wrong_degree)
+        mispredict_degree(monkeypatch, make_partition([2, 2]))
         failures = sweep_failures(8)
         assert failures == unmemoised_failures(8)
         assert len(failures["type_determinacy"]) == 5
@@ -477,6 +537,35 @@ class TestSweepMemo:
         calls.clear()
         assert run_all(14).passed
         assert calls == expected
+
+
+    def test_graph_level_checks_run_once_per_graph_and_type(self, monkeypatch):
+        # The 507 partitions of weight <= 14 show 80 distinct graphs, each
+        # with one local type; the two checks that read only the observed
+        # graph and the type run once for each.
+        checks = ("verify_degrees", "verify_neighborhoods", "verify_cliques",
+                  "verify_type_determinacy")
+        calls = TestFailureDetails.count_calls(monkeypatch, (partgraph.oracle,), checks)
+        assert run_all(14).passed
+        assert calls == {"verify_degrees": 507, "verify_neighborhoods": 507,
+                         "verify_cliques": 80, "verify_type_determinacy": 80}
+
+    def test_the_memo_tells_the_graph_level_checks_apart(self, monkeypatch):
+        # Both checks are replaced by plain functions named `check`: a memo
+        # tagged by the function's name would hand type_determinacy the
+        # details cliques found for the same graph and type, and pass it.
+        def plain(fn):
+            def check(o, T):
+                return fn(o, T)
+            return check
+
+        for name in ("verify_cliques", "verify_type_determinacy"):
+            monkeypatch.setattr(partgraph.oracle, name, plain(getattr(partgraph.oracle, name)))
+        mispredict_degree(monkeypatch, make_partition([2, 2]))
+        failures = sweep_failures(8)
+        assert failures == unmemoised_failures(8)
+        assert failures["cliques"] == []
+        assert len(failures["type_determinacy"]) == 5
 
 
 class TestRunAll:

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -126,6 +127,17 @@ class TestApply:
     ])
     def test_known_values(self, parts, move, expected):
         assert apply_transfer(Partition(parts), TransferMove(*move)).parts == expected
+
+    @pytest.mark.parametrize("move", [(1, 2), [1, 2], "1->2"])
+    def test_only_a_transfer_move_is_taken(self, move):
+        # A plain pair equals its move and keys neighbors(p) as one, but it
+        # has no text form, so apply_transfer names it and rejects it.
+        p = make_partition([4, 4, 2, 2])
+        message = f"^move must be a TransferMove, got {re.escape(repr(move))}$"
+        with pytest.raises(ValueError, match=message) as excinfo:
+            apply_transfer(p, move)
+        assert not isinstance(excinfo.value, InadmissibleTransferError)
+        assert neighbors(p)[(1, 2)] == apply_transfer(p, TransferMove(1, 2))
 
     def test_singleton_block_rejection(self):
         with pytest.raises(InadmissibleTransferError) as excinfo:
